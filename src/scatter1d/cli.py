@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .errors import (ConvergenceError, DomainError, NoSolutionError,
                      Scatter1dError, SpectralSingularityError)
-from .invisibility import (SweepData, classify, design_unidirectional,
-                           wavelength_sweep)
+from .invisibility import (SWEEP_CSV_HEADER, SweepData, classify,
+                           design_unidirectional, wavelength_sweep)
 from .potential import PotentialSpec, from_permittivity, wave_context
 from .singularity import (solve_general, solve_half_integer,
                           solve_integer_gamma, table1_rows)
@@ -141,6 +141,10 @@ SCENARIO_SCHEMA = {
 }
 
 
+# Built once: jsonschema.validate would re-check the schema on every call.
+_SCENARIO_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
 class _SchemaError(Exception):
     pass
 
@@ -151,10 +155,9 @@ def _load_scenario(path: str) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise _SchemaError(f"scenario failed schema validation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise _SchemaError(f"scenario failed schema validation: {error.message}")
     return doc
 
 
@@ -188,20 +191,11 @@ def _json_artifact(payload: dict) -> str:
 
 def _sweep_json(data: SweepData) -> str:
     rows = [
-        {"lambda_nm": float(l), "abs_R_left": float(a), "abs_R_right": float(b),
-         "abs_T_minus_1": float(c)}
-        for l, a, b, c in zip(data.lambda_nm, data.abs_r_left,
-                              data.abs_r_right, data.abs_t_minus_1)
+        dict(zip(SWEEP_CSV_HEADER, map(float, row)))
+        for row in zip(data.lambda_nm, data.abs_r_left,
+                       data.abs_r_right, data.abs_t_minus_1)
     ]
     return _json_artifact({"rows": rows})
-
-
-def _sweep_csv_text(data: SweepData) -> str:
-    lines = ["lambda_nm,abs_R_left,abs_R_right,abs_T_minus_1"]
-    for row in zip(data.lambda_nm, data.abs_r_left, data.abs_r_right,
-                   data.abs_t_minus_1):
-        lines.append(",".join(format(float(v), ".17g") for v in row))
-    return "\r\n".join(lines) + "\r\n"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -227,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_NUMERICAL
     out = _output_path(scenario, args)
     fmt = scenario.get("output", {}).get("format", "csv")
-    _emit(_sweep_csv_text(data) if fmt == "csv" else _sweep_json(data), out)
+    _emit(data.csv_text() if fmt == "csv" else _sweep_json(data), out)
     return EXIT_OK
 
 

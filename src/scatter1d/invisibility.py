@@ -24,10 +24,7 @@ against the direct solver.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -43,8 +40,6 @@ from .potential import (PotentialSpec, WaveContext, from_permittivity,
 
 #: Amplitude magnitude below which a channel counts as extinguished.
 VERDICT_EPS_ANALYTIC = 1e-9
-#: Looser bound appropriate when witnesses come from the ODE path.
-VERDICT_EPS_NUMERIC = 1e-6
 #: |J| below which the zero-structure predicate fires.
 ZERO_PREDICATE_EPS = 1e-8
 
@@ -98,15 +93,18 @@ class SweepData:
     abs_r_right: np.ndarray
     abs_t_minus_1: np.ndarray
 
+    def csv_text(self) -> str:
+        """RFC 4180 text: CRLF line endings and 17 significant digits, so the
+        file round-trips doubles exactly and reruns are byte-identical."""
+        lines = [",".join(SWEEP_CSV_HEADER)]
+        for row in zip(self.lambda_nm, self.abs_r_left,
+                       self.abs_r_right, self.abs_t_minus_1):
+            lines.append(",".join(format(float(v), ".17g") for v in row))
+        return "\r\n".join(lines) + "\r\n"
+
     def write_csv(self, path: str) -> None:
-        # RFC 4180: CRLF line endings (the csv module default); 17 significant
-        # digits so the file round-trips doubles exactly.
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_CSV_HEADER)
-            for row in zip(self.lambda_nm, self.abs_r_left,
-                           self.abs_r_right, self.abs_t_minus_1):
-                writer.writerow([format(float(v), ".17g") for v in row])
+            fh.write(self.csv_text())
 
 
 def _expected_kind(mechanism: Mechanism) -> VerdictKind:
@@ -229,22 +227,13 @@ def fig1_design_wavelength_nm(gamma: float = FIG1_GAMMA, m: int = FIG1_M,
     return 2000.0 * L_um / (gamma * m)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SCATTER1D_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def wavelength_sweep(eps0: complex, m: int, L_um: float,
                      lambdas_nm: np.ndarray,
                      coupling: Optional[complex] = None) -> SweepData:
     """|R^l|, |R^r|, |T-1| over a wavelength grid for a fixed material.
 
     With ``coupling`` given, the coupling is held fixed instead of the
-    permittivity (eps0 is then ignored).  Rows come out in input order
-    regardless of the worker count.
+    permittivity (eps0 is then ignored).
     """
     lambdas_nm = np.asarray(lambdas_nm, dtype=float)
 
@@ -261,13 +250,7 @@ def wavelength_sweep(eps0: complex, m: int, L_um: float,
             raise
         return abs(amps.r_left), abs(amps.r_right), abs(amps.t - 1.0)
 
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, lambdas_nm))
-    else:
-        rows = [one(lam) for lam in lambdas_nm]
-    arr = np.asarray(rows, dtype=float)
+    arr = np.asarray([one(lam) for lam in lambdas_nm], dtype=float)
     return SweepData(lambda_nm=lambdas_nm.copy(), abs_r_left=arr[:, 0],
                      abs_r_right=arr[:, 1], abs_t_minus_1=arr[:, 2])
 

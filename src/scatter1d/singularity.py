@@ -49,6 +49,9 @@ ODE_M22_TOL = 1e-8
 
 _MAX_NEWTON = 100
 
+#: (f, f', Newton scale) of one singularity condition; see ``_condition``.
+_Condition = tuple[Callable[[complex], complex], Callable[[complex], complex], float]
+
 
 @dataclass(frozen=True)
 class SingularitySolution:
@@ -123,29 +126,64 @@ def _canonical(a: complex) -> complex:
     return a
 
 
+def _condition(gamma: float, m: int, integer: bool) -> _Condition:
+    """f(a) = a^2 J_lo(a) J_{gamma+1}(a) - rhs, its derivative and Newton's scale.
+
+    At integer gamma = n the limit form lo = n - 1, rhs = -2in/(pi m) is
+    used; otherwise lo = 1 - gamma and rhs is ``_rhs_general``.
+    """
+    if integer:
+        n = round(gamma)
+        lo, hi = n - 1.0, n + 1.0
+        rhs = -2j * n / (math.pi * m)
+        scale = max(abs(rhs), 1e-6)
+    else:
+        lo, hi = -gamma + 1.0, gamma + 1.0
+        rhs = _rhs_general(gamma, m)
+        scale = max(1.0, abs(rhs))
+
+    def f(a: complex) -> complex:
+        return a * a * bessel_j(lo, a) * bessel_j(hi, a) - rhs
+
+    def df(a: complex) -> complex:
+        jm = bessel_j(lo, a)
+        jp = bessel_j(hi, a)
+        return (2.0 * a * jm * jp
+                + a * a * bessel_j_derivative(lo, a) * jp
+                + a * a * jm * bessel_j_derivative(hi, a))
+
+    return f, df, scale
+
+
+def _solve_from_seed(condition: _Condition, gamma: float, m: int,
+                     seed: complex) -> SingularitySolution:
+    """Newton-refine ``seed`` on a ``_condition`` and check the residual."""
+    f, df, scale = condition
+    root, residual = _newton(f, df, seed, scale)
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceError(f"root residual {residual:.2e} above {RESIDUAL_TOL:.1e}")
+    root = _canonical(root)
+    return SingularitySolution(a_frak=root, eps0=_eps0_of(root, gamma),
+                               gamma=gamma, m=int(m), residual=residual)
+
+
 def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
     """Newton solve of the full singularity condition at non-integer gamma."""
     if m < 1:
         raise DomainError("m must be a positive integer")
-    rhs = _rhs_general(gamma, m)
     g = float(gamma)
+    return _solve_from_seed(_condition(g, m, integer=False), g, m, seed)
 
-    def f(a: complex) -> complex:
-        return a * a * bessel_j(-g + 1.0, a) * bessel_j(g + 1.0, a) - rhs
 
-    def df(a: complex) -> complex:
-        jm = bessel_j(-g + 1.0, a)
-        jp = bessel_j(g + 1.0, a)
-        return (2.0 * a * jm * jp
-                + a * a * bessel_j_derivative(-g + 1.0, a) * jp
-                + a * a * jm * bessel_j_derivative(g + 1.0, a))
-
-    root, residual = _newton(f, df, seed, scale=max(1.0, abs(rhs)))
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(f"root residual {residual:.2e} above {RESIDUAL_TOL:.1e}")
-    root = _canonical(root)
-    return SingularitySolution(a_frak=root, eps0=_eps0_of(root, g),
-                               gamma=g, m=int(m), residual=residual)
+def _integer_seeds(n: int, m: int) -> list[complex]:
+    """Leading-order roots a ~ 2 [n!(n+1)!/(2 pi i m)]^{1/(2n+2)} with Re eps0 > 1."""
+    order = 2 * n + 2
+    base = math.factorial(n) * math.factorial(n + 1) / (2.0 * math.pi * m)
+    radius = 2.0 * base ** (1.0 / order)
+    # arg of n!(n+1)!/(2 pi i m) is -pi/2
+    seeds = (radius * cmath.exp(1j * (-0.5 * math.pi + 2.0 * math.pi * j) / order)
+             for j in range(order))
+    return [seed for seed in seeds if _eps0_of(seed, float(n)).real > 1.0]
 
 
 def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
@@ -158,57 +196,24 @@ def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
     """
     if n < 1 or m < 1:
         raise DomainError("n and m must be positive integers")
-    rhs = -2j * n / (math.pi * m)
-
-    def f(a: complex) -> complex:
-        return a * a * bessel_j(n - 1.0, a) * bessel_j(n + 1.0, a) - rhs
-
-    def df(a: complex) -> complex:
-        jm = bessel_j(n - 1.0, a)
-        jp = bessel_j(n + 1.0, a)
-        return (2.0 * a * jm * jp
-                + a * a * bessel_j_derivative(n - 1.0, a) * jp
-                + a * a * jm * bessel_j_derivative(n + 1.0, a))
-
-    order = 2 * n + 2
-    base = math.factorial(n) * math.factorial(n + 1) / (2.0 * math.pi * m)
-    radius = 2.0 * base ** (1.0 / order)
-    # arg of n!(n+1)!/(2 pi i m) is -pi/2
+    condition = _condition(n, m, integer=True)
     candidates = []
-    for j in range(order):
-        seed = radius * cmath.exp(1j * (-0.5 * math.pi + 2.0 * math.pi * j) / order)
-        if _eps0_of(seed, float(n)).real <= 1.0:
-            continue
+    for seed in _integer_seeds(n, m):
         try:
-            root, residual = _newton(f, df, seed, scale=max(abs(rhs), 1e-6))
+            candidates.append(_solve_from_seed(condition, float(n), m, seed))
         except ConvergenceError:
             continue
-        if residual <= RESIDUAL_TOL:
-            root = _canonical(root)
-            candidates.append((residual, root.real, root.imag, root))
     if not candidates:
-        raise ConvergenceError(
-            f"no branch converged for n={n}, m={m} (seed radius {radius:.4g})")
-    candidates.sort(key=lambda item: item[:3])
-    residual, _, _, root = candidates[0]
-    return SingularitySolution(a_frak=root, eps0=_eps0_of(root, float(n)),
-                               gamma=float(n), m=int(m), residual=residual)
+        raise ConvergenceError(f"no branch converged for n={n}, m={m}")
+    return min(candidates, key=lambda s: (s.residual, s.a_frak.real, s.a_frak.imag))
 
 
 def seed_integer_gamma(n: int, m: int) -> complex:
     """Leading-order seed with the branch fixed by Re eps0 > 1, Re a >= 0."""
-    order = 2 * n + 2
-    base = math.factorial(n) * math.factorial(n + 1) / (2.0 * math.pi * m)
-    radius = 2.0 * base ** (1.0 / order)
-    best = None
-    for j in range(order):
-        seed = _canonical(radius * cmath.exp(1j * (-0.5 * math.pi + 2.0 * math.pi * j) / order))
-        if _eps0_of(seed, float(n)).real > 1.0 and seed.real >= 0:
-            if best is None or seed.real > best.real:
-                best = seed
-    if best is None:
+    seeds = [_canonical(seed) for seed in _integer_seeds(n, m)]
+    if not seeds:
         raise NoSolutionError(f"no seed branch with Re eps0 > 1 for n={n}, m={m}")
-    return best
+    return max(seeds, key=lambda seed: seed.real)
 
 
 def _spherical_j(n: int, w: complex) -> complex:
@@ -327,50 +332,34 @@ def scan_singularities(gamma: float, m: int,
     n = round(gamma)
     integer = abs(gamma - n) < INTEGER_SNAP_EPS
 
+    g = float(n) if integer else float(gamma)
+    try:
+        condition = _condition(g, m, integer)
+    except NoSolutionError:
+        return []
+
+    seen: list[complex] = []
     solutions: list[SingularitySolution] = []
     n_re, n_im = grid
     for i in range(n_re):
         re = re_max * (i + 1) / n_re
         for j in range(n_im):
             im = -im_max + 2.0 * im_max * j / max(n_im - 1, 1)
-            seed = complex(re, im)
             try:
-                if integer:
-                    sol = _integer_from_seed(int(n), m, seed)
-                else:
-                    sol = solve_general(gamma, m, seed)
+                sol = _solve_from_seed(condition, g, m, complex(re, im))
             except (ConvergenceError, NoSolutionError, DomainError):
                 continue
             if abs(sol.a_frak) < 1e-8:
                 continue
-            if any(abs(sol.a_frak - s.a_frak) < DEDUP_TOL for s in solutions):
+            # Rejected roots count as seen too, so none is validated twice.
+            if any(abs(sol.a_frak - a) < DEDUP_TOL for a in seen):
                 continue
+            seen.append(sol.a_frak)
             if validate and validate_root_ode(sol) > ODE_M22_TOL:
                 continue
             solutions.append(sol)
     solutions.sort(key=lambda s: (s.a_frak.real, s.a_frak.imag))
     return solutions
-
-
-def _integer_from_seed(n: int, m: int, seed: complex) -> SingularitySolution:
-    rhs = -2j * n / (math.pi * m)
-
-    def f(a: complex) -> complex:
-        return a * a * bessel_j(n - 1.0, a) * bessel_j(n + 1.0, a) - rhs
-
-    def df(a: complex) -> complex:
-        jm = bessel_j(n - 1.0, a)
-        jp = bessel_j(n + 1.0, a)
-        return (2.0 * a * jm * jp
-                + a * a * bessel_j_derivative(n - 1.0, a) * jp
-                + a * a * jm * bessel_j_derivative(n + 1.0, a))
-
-    root, residual = _newton(f, df, seed, scale=max(abs(rhs), 1e-6))
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(f"residual {residual:.2e} above tolerance")
-    root = _canonical(root)
-    return SingularitySolution(a_frak=root, eps0=_eps0_of(root, float(n)),
-                               gamma=float(n), m=int(m), residual=residual)
 
 
 def table1_rows(ms: tuple[int, ...] = (100, 250, 500)) -> list[SingularitySolution]:

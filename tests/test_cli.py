@@ -1,8 +1,13 @@
 import json
 import math
+import runpy
+import sys
+
+import jsonschema
+import pytest
 
 from scatter1d.cli import (EXIT_INCONSISTENT, EXIT_NUMERICAL, EXIT_OK,
-                           EXIT_SCHEMA, main)
+                           EXIT_SCHEMA, SCENARIO_SCHEMA, main)
 
 DESIGN_EPS0 = 1.0061426168124073
 
@@ -212,3 +217,16 @@ class TestValidate:
         rc = main(["validate", "bessel", "--seed", "7"])
         assert rc == EXIT_OK
         assert "seed=0x7" in capsys.readouterr().out
+
+
+class TestEntry:
+    def test_scenario_schema_is_valid(self):
+        cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+        cls.check_schema(SCENARIO_SCHEMA)
+
+    def test_python_m_scatter1d(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["scatter1d", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("scatter1d", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("scatter1d ")

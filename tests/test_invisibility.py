@@ -220,10 +220,3 @@ class TestSweep:
         # 17 significant digits round-trip the doubles exactly
         first = lines[1].decode().split(",")
         assert float(first[1]) == data.abs_r_left[0]
-
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        base = fig1_sweep(samples=40)
-        monkeypatch.setenv("SCATTER1D_THREADS", "4")
-        threaded = fig1_sweep(samples=40)
-        assert np.array_equal(base.abs_r_left, threaded.abs_r_left)
-        assert np.array_equal(base.abs_t_minus_1, threaded.abs_t_minus_1)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from scatter1d import singularity
 from scatter1d.bessel import bessel_j
 from scatter1d.errors import DomainError, NoSolutionError
 from scatter1d.singularity import (half_integer_residual, scan_singularities,
@@ -151,6 +152,20 @@ class TestScan:
         sols = scan_singularities(1.0, 100, re_max=1.0, im_max=1.0, grid=(4, 5))
         keys = [(s.a_frak.real, s.a_frak.imag) for s in sols]
         assert keys == sorted(keys)
+
+    def test_each_root_validated_once(self, monkeypatch):
+        # two grid seeds converge to the same rejected root at (1, 1)
+        validated = []
+
+        def counting(sol, tol=1e-10):
+            validated.append(sol.a_frak)
+            return validate_root_ode(sol, tol)
+
+        monkeypatch.setattr(singularity, "validate_root_ode", counting)
+        sols = scan_singularities(1.0, 1)
+        assert len(validated) > len(sols)  # some root was rejected
+        for i, a in enumerate(validated):
+            assert all(abs(a - b) >= singularity.DEDUP_TOL for b in validated[:i])
 
     def test_free_configuration_is_not_singular(self):
         # the zero-coupling slab transmits perfectly: M22 = 1 at any k
