@@ -408,3 +408,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    sys.exit(main())

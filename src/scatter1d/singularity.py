@@ -309,7 +309,11 @@ def _bisect(func: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def validate_root_ode(sol: SingularitySolution, tol: float = 1e-10) -> float:
-    """|M22| from the direct evolution at the root's configuration."""
+    """|M22| from the coefficient evolution at the root's configuration.
+
+    One unit cell is integrated and composed over the m cells (see
+    :func:`scatter1d.transfer.transfer_matrix`).
+    """
     L = math.pi * sol.m  # k0 = 1 in these units
     spec = PotentialSpec(coupling=sol.a_frak ** 2, m=sol.m, L=L)
     M = transfer_matrix(SampledPotential.from_spec(spec), k=sol.gamma, tol=tol)
@@ -355,7 +359,8 @@ def scan_singularities(gamma: float, m: int,
             if any(abs(sol.a_frak - a) < DEDUP_TOL for a in seen):
                 continue
             seen.append(sol.a_frak)
-            if validate and validate_root_ode(sol) > ODE_M22_TOL:
+            # Written so that a NaN |M22| counts as not validated.
+            if validate and not validate_root_ode(sol) <= ODE_M22_TOL:
                 continue
             solutions.append(sol)
     solutions.sort(key=lambda s: (s.a_frak.real, s.a_frak.imag))

@@ -230,3 +230,11 @@ class TestEntry:
             runpy.run_module("scatter1d", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("scatter1d ")
+
+    @pytest.mark.filterwarnings("ignore:'scatter1d.cli' found in sys.modules:RuntimeWarning")
+    def test_python_m_scatter1d_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["scatter1d.cli", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("scatter1d.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("scatter1d ")

@@ -167,6 +167,17 @@ class TestScan:
         for i, a in enumerate(validated):
             assert all(abs(a - b) >= singularity.DEDUP_TOL for b in validated[:i])
 
+    def test_nan_validation_drops_root(self, monkeypatch):
+        calls = []
+
+        def nan_m22(sol, tol=1e-10):
+            calls.append(sol.a_frak)
+            return math.nan
+
+        monkeypatch.setattr(singularity, "validate_root_ode", nan_m22)
+        assert scan_singularities(1.0, 1) == []
+        assert calls
+
     def test_free_configuration_is_not_singular(self):
         # the zero-coupling slab transmits perfectly: M22 = 1 at any k
         from scatter1d.potential import PotentialSpec

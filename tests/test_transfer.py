@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from conftest import make_spec
 from scatter1d.analytic import amplitudes_analytic
-from scatter1d.errors import DomainError, SpectralSingularityError
-from scatter1d.potential import wave_context
+from scatter1d.errors import (ConvergenceError, DomainError,
+                              SpectralSingularityError)
+from scatter1d.potential import PotentialSpec, wave_context
 from scatter1d.shooting import shooting_amplitudes
 from scatter1d.singularity import solve_integer_gamma
 from scatter1d.transfer import (SampledPotential, TransferMatrix,
@@ -18,6 +20,11 @@ from scatter1d.transfer import (SampledPotential, TransferMatrix,
                                 transfer_matrix)
 
 FREE = SampledPotential(support=(0.0, 1.0), evaluate=lambda x: 0j)
+
+
+def whole(pot: SampledPotential) -> SampledPotential:
+    # the same potential integrated across its full support, uncomposed
+    return dataclasses.replace(pot, cells=1)
 
 
 def bump(amplitude: complex = 0.8) -> SampledPotential:
@@ -58,7 +65,7 @@ class TestTransferMatrix:
         spec = make_spec(0.4 - 0.7j, m=2)
         k = 0.83 * spec.k0
         d = spec.L / 2
-        full = transfer_matrix(SampledPotential.from_spec(spec), k)
+        full = transfer_matrix(whole(SampledPotential.from_spec(spec)), k)
         cell_pot = SampledPotential(support=(0.0, d), evaluate=lambda x:
                                     spec.coupling * cmath.exp(-2j * spec.k0 * x))
         C = transfer_matrix(cell_pot, k).as_array()
@@ -71,6 +78,63 @@ class TestTransferMatrix:
             transfer_matrix(FREE, k=1.0, tol=1e-2)
         with pytest.raises(DomainError):
             transfer_matrix(FREE, k=-1.0)
+
+
+class TestCellComposition:
+    @staticmethod
+    def assert_close(composed: TransferMatrix, full: TransferMatrix):
+        a, b = composed.as_array(), full.as_array()
+        assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(b)))
+
+    def test_exponential_slab_matches_full_support(self):
+        rng = np.random.default_rng(7)
+        configs = [(0.7 + 0.45j, 7, gamma) for gamma in (0.37, 1.0, 2.61)]
+        for _ in range(12):
+            a = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+            configs.append((a, int(rng.integers(2, 6)), float(rng.uniform(0.15, 4.5))))
+        for a, m, gamma in configs:
+            pot = SampledPotential.from_spec(make_spec(a, m))
+            k = gamma * m  # k0 = m on L = pi
+            self.assert_close(transfer_matrix(pot, k), transfer_matrix(whole(pot), k))
+
+    def test_periodic_bump(self):
+        pot = SampledPotential(support=(0.0, 3 * math.pi),
+                               evaluate=lambda x: 0.8 * math.sin(x) ** 2, cells=3)
+        for k in (0.45, 1.1, 2.3):
+            self.assert_close(transfer_matrix(pot, k), transfer_matrix(whole(pot), k))
+
+    def test_cells_from_spec_kept_by_conjugate(self):
+        pot = SampledPotential.from_spec(make_spec(0.3 + 0.2j, m=4))
+        assert pot.cells == 4 and pot.conjugate().cells == 4
+
+    @pytest.mark.parametrize("cells", [0, -2, 2.5, 2.0, "3"])
+    def test_cells_must_be_positive_integer(self, cells):
+        with pytest.raises(DomainError):
+            SampledPotential(support=(0.0, 1.0), evaluate=lambda x: 0j, cells=cells)
+
+    def test_one_cell_integrated_whatever_the_count(self):
+        # same cell [0, pi] with k0 = 1: the 100-cell slab must cost the
+        # evaluator exactly as many calls as the single cell
+        def evaluations(m: int) -> int:
+            pot = SampledPotential.from_spec(
+                PotentialSpec(coupling=(0.17 + 0.44j) ** 2, m=m, L=m * math.pi))
+            calls = [0]
+
+            def counting(x):
+                calls[0] += 1
+                return pot.evaluate(x)
+
+            transfer_matrix(dataclasses.replace(pot, evaluate=counting), k=1.3)
+            return calls[0]
+
+        assert evaluations(100) == evaluations(1) > 0
+
+    def test_non_finite_composition_raises(self):
+        # an opaque barrier: each cell amplifies the evanescent wave by ~e^10
+        pot = SampledPotential(support=(0.0, 100.0), evaluate=lambda x: 100 + 0j,
+                               cells=100)
+        with pytest.raises(ConvergenceError, match=r"k=1\.0 .*100 cells"):
+            transfer_matrix(pot, k=1.0)
 
 
 class TestAmplitudes:
