@@ -8,7 +8,12 @@ derives the per-wavenumber parameters, and the amplitude engines are
 any finite-range potential through :class:`~scatter1d.transfer.SampledPotential`).
 """
 
+import logging as _logging
+
 __version__ = "0.1.0"
+
+# Library logging stays silent unless the application configures it.
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from .analytic import (BoundaryValues, amplitudes_analytic,
                        amplitudes_perturbative, boundary_values,

@@ -13,6 +13,14 @@ Evaluation strategy
 * otherwise a backward (Miller) recurrence normalized through the
   Neumann-type sum ``(w/2)^f = sum_j (f+2j) Gamma(f+j)/j! * J_{f+2j}(w)``,
   descending below order zero by the three-term recurrence where needed.
+  One recurrence yields every order f + p of the fractional family
+  f = nu - floor(nu), so the last ``FAMILY_CACHE_SIZE`` families are kept
+  and reused: the closed forms, the identities and J' ask for several
+  orders of one or two families at one argument.  The memo keys on the
+  exact f and w together with the signs of their zero components (J on
+  the two sides of the cut, w = -x +- 0i, are conjugates, yet +0.0 and
+  -0.0 compare equal), so a value never depends on what was computed
+  before it.
 
 The two regimes have complementary rounding behaviour: the series loses
 roughly ``0.43 (|w| - |Im w|)`` digits to alternation, the Miller
@@ -34,6 +42,7 @@ deliberately not reproduced here.)
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +63,10 @@ SERIES_RADIUS = 12.0
 
 #: Function-value bound accepted for a refined zero.
 TOL_ZERO = 1e-10
+
+#: Miller families (fractional order, argument) kept for reuse.  A closed
+#: form or identity touches at most a handful of families at one argument.
+FAMILY_CACHE_SIZE = 8
 
 _EPS = 2.220446049250313e-16
 _MAX_TERMS = 600
@@ -166,10 +179,15 @@ def _series(nu: float, w: complex) -> complex:
     return total
 
 
-def _miller(nu: float, w: complex) -> complex:
-    # Backward recurrence for SERIES_RADIUS < |w| <= W_MAX.
-    n_low = math.floor(nu)
-    f = nu - n_low
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _miller_family(f: float, w: complex,
+                   signs: tuple[float, float, float]) -> tuple[complex, tuple[complex, ...]]:
+    """Backward recurrence for SERIES_RADIUS < |w| <= W_MAX, order family f + p.
+
+    Returns ``(lam, vals)`` with J_{f+p}(w) = lam * vals[p].  ``signs`` holds
+    the signs of f, Re w and Im w and only keys the memo: +0.0 and -0.0
+    compare and hash alike.
+    """
     wmag = abs(w)
     # The start order depends only on |w| (not on the target order), so all
     # orders of one fractional family come off the identical recurrence and
@@ -202,8 +220,20 @@ def _miller(nu: float, w: complex) -> complex:
             cq *= (f + 2 * q) * (f + q - 1.0) / ((f + 2 * q - 2.0) * q)
             s += cq * vals[2 * q]
     if s == 0:
-        raise ConvergenceError(f"Miller normalization degenerate at nu={nu}, |w|={wmag:.3g}")
-    lam = _cpow(0.5 * w, f) / s
+        raise ConvergenceError(f"Miller normalization degenerate at f={f}, |w|={wmag:.3g}")
+    return _cpow(0.5 * w, f) / s, tuple(vals)
+
+
+def _miller(nu: float, w: complex) -> complex:
+    n_low = math.floor(nu)
+    f = nu - n_low
+    signs = (math.copysign(1.0, f), math.copysign(1.0, w.real),
+             math.copysign(1.0, w.imag))
+    try:
+        lam, vals = _miller_family(f, w, signs)
+    except ConvergenceError:
+        raise ConvergenceError(
+            f"Miller normalization degenerate at nu={nu}, |w|={abs(w):.3g}") from None
 
     if n_low >= 0:
         return lam * vals[n_low]

@@ -122,8 +122,10 @@ def classify(ctx: WaveContext,
     if ctx.spec.coupling == 0:
         raise DomainError("classification needs a nonzero coupling")
 
-    zero_right = abs(bessel_j(ctx.gamma + 1.0, ctx.a_frak)) < ZERO_PREDICATE_EPS
-    zero_left = abs(bessel_j(-ctx.gamma + 1.0, ctx.a_frak)) < ZERO_PREDICATE_EPS
+    abs_j_right = abs(bessel_j(ctx.gamma + 1.0, ctx.a_frak))
+    abs_j_left = abs(bessel_j(-ctx.gamma + 1.0, ctx.a_frak))
+    zero_right = abs_j_right < ZERO_PREDICATE_EPS
+    zero_left = abs_j_left < ZERO_PREDICATE_EPS
     if ctx.mu == 0:
         mechanism = Mechanism.MU_ZERO
     elif zero_right and not zero_left:
@@ -160,8 +162,8 @@ def classify(ctx: WaveContext,
             "gamma": ctx.gamma,
             "a_re": ctx.a_frak.real,
             "a_im": ctx.a_frak.imag,
-            "abs_j_right": abs(bessel_j(ctx.gamma + 1.0, ctx.a_frak)),
-            "abs_j_left": abs(bessel_j(-ctx.gamma + 1.0, ctx.a_frak)),
+            "abs_j_right": abs_j_right,
+            "abs_j_left": abs_j_left,
             "witnesses": [rl, rr, t1],
         }
     elif kind != _expected_kind(mechanism):

@@ -1,16 +1,19 @@
 import cmath
+import functools
 import math
+import random
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatter1d import bessel, validate
 from scatter1d.bessel import (TOL_ZERO, W_MAX, ZeroKind, bessel_j,
                               bessel_j_derivative, evaluate,
                               identity_residuals, imaginary_zeros,
                               in_hurwitz_band, real_zeros, relative_floor)
-from scatter1d.errors import AccuracyError, DomainError
+from scatter1d.errors import AccuracyError, ConvergenceError, DomainError
 
 mp.mp.dps = 40
 
@@ -221,6 +224,88 @@ class TestIdentities:
     def test_requires_nonzero_argument(self):
         with pytest.raises(DomainError):
             identity_residuals(0.3, 0j)
+
+
+def bits(z: complex) -> tuple[str, str]:
+    # float.hex tells +0.0 from -0.0, which == does not
+    return (z.real.hex(), z.imag.hex())
+
+
+@pytest.fixture
+def family_builds(monkeypatch):
+    """Arguments of every Miller family built, under a fresh memo."""
+    builds = []
+    build = bessel._miller_family.__wrapped__
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(bessel, "_miller_family",
+                        functools.lru_cache(maxsize=bessel.FAMILY_CACHE_SIZE)(counting))
+    return builds
+
+
+class TestFamilyMemo:
+    @pytest.mark.parametrize("nu", [-7.3, -2.5, 0.3, 3.7])
+    @pytest.mark.parametrize("r", [14.0, 30.0, 59.0])
+    @pytest.mark.parametrize("phase", [0.0, 0.1, -0.1, math.pi - 0.1, math.pi])
+    def test_cold_and_warm_values_bit_equal(self, nu, r, phase):
+        w = r * cmath.exp(1j * phase)
+        assert not bessel._use_series(w)
+        rng = random.Random(f"{nu}/{r}/{phase}")
+        orders = [nu - 1.0, nu, nu + 1.0, -nu, -nu - 1.0]
+        cold = {}
+        for order in orders:
+            bessel._miller_family.cache_clear()
+            cold[order] = bits(bessel_j(order, w))
+        for order in orders:
+            siblings = [o for o in orders if o != order]
+            rng.shuffle(siblings)
+            bessel._miller_family.cache_clear()
+            for o in siblings:
+                assert bits(bessel_j(o, w)) == cold[o]
+            assert bits(bessel_j(order, w)) == cold[order]
+
+    @pytest.mark.parametrize("nu", [-2.5, 0.3, 3.7])
+    @pytest.mark.parametrize("x", [14.5, 20.0, 30.0])
+    def test_signed_zero_sides_of_the_cut(self, nu, x):
+        # -x+0j and -x-0j compare and hash alike but lie on opposite sides
+        # of the cut, where J takes conjugate values
+        above, below = complex(-x, 0.0), complex(-x, -0.0)
+        bessel._miller_family.cache_clear()
+        cold_above = bessel_j(nu, above)
+        bessel._miller_family.cache_clear()
+        cold_below = bessel_j(nu, below)
+        assert abs(cold_above.imag) > 1e-3
+        assert bits(cold_below) == bits(cold_above.conjugate())
+        sides = ((above, cold_above), (below, cold_below))
+        for (w1, ref1), (w2, ref2) in (sides, sides[::-1]):
+            bessel._miller_family.cache_clear()
+            got1 = bessel_j(nu, w1)
+            got2 = bessel_j(nu, w2)
+            assert bits(got1) == bits(ref1)
+            assert bits(got2) == bits(ref2)
+
+    def test_identity_residuals_build_three_families(self, family_builds):
+        identity_residuals(2.3, 30 + 0.5j)
+        assert len(family_builds) == 3
+
+    def test_derivative_builds_one_family(self, family_builds):
+        bessel_j_derivative(2.3, 30 + 0.5j)
+        assert len(family_builds) == 1
+
+    def test_bessel_suite_build_ceiling(self, family_builds):
+        assert validate.bessel_suite().passed
+        assert 0 < len(family_builds) <= 9000
+
+    def test_degenerate_normalization_names_the_order(self, monkeypatch):
+        def degenerate(f, w, signs):
+            raise ConvergenceError(f"Miller normalization degenerate at f={f}")
+
+        monkeypatch.setattr(bessel, "_miller_family", degenerate)
+        with pytest.raises(ConvergenceError, match=r"nu=3\.7, \|w\|=30"):
+            bessel_j(3.7, 30.0 + 0j)
 
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import runpy
 import sys
@@ -162,6 +163,12 @@ class TestClassify:
         doc = json.loads(capsys.readouterr().out)
         assert rc == EXIT_OK and doc["kind"] == "left_only"
 
+    def test_writes_nothing_to_stderr(self, tmp_path, capsys):
+        rc = self.classify_rc(tmp_path, complex(0.09), 1, math.pi, 1.0)
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK
+        assert captured.out and captured.err == ""
+
     def test_predicate_witness_mismatch_exits_4(self, tmp_path, capsys):
         # a sits 1.5e-8 off the first zero of J_2 on a slab with m large
         # enough that the residual amplitudes are decisively visible: the
@@ -223,6 +230,10 @@ class TestEntry:
     def test_scenario_schema_is_valid(self):
         cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
         cls.check_schema(SCENARIO_SCHEMA)
+
+    def test_package_logger_has_null_handler(self):
+        handlers = logging.getLogger("scatter1d").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
     def test_python_m_scatter1d(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["scatter1d", "--version"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
+from scatter1d import invisibility
 from scatter1d.analytic import amplitudes_analytic
 from scatter1d.bessel import bessel_j, real_zeros
 from scatter1d.errors import DomainError, NoSolutionError
@@ -50,6 +51,32 @@ class TestClassify:
         assert verdict.abs_r_left > 1e-3
         assert verdict.abs_t_minus_1 > 1e-3
         assert verdict.abs_r_right > 1e-9
+
+    def test_common_zero_report_reuses_predicate_values(self, monkeypatch):
+        # with the predicate threshold raised both zero predicates fire, so
+        # the verdict carries a common-zero report built from the two J
+        # values the predicate already computed
+        monkeypatch.setattr(invisibility, "ZERO_PREDICATE_EPS", 1e3)
+        orders = []
+
+        def counting(nu, w, *args):
+            orders.append(nu)
+            return bessel_j(nu, w, *args)
+
+        monkeypatch.setattr(invisibility, "bessel_j", counting)
+        ctx = wave_context(make_spec(0.3 - 0.1j, m=1), 1.3)
+        verdict = classify(ctx)
+        rl, rr, t1 = verdict.witnesses
+        assert orders == [ctx.gamma + 1.0, -ctx.gamma + 1.0]
+        assert verdict.inconsistency == {
+            "type": "common_zero_candidate",
+            "gamma": ctx.gamma,
+            "a_re": ctx.a_frak.real,
+            "a_im": ctx.a_frak.imag,
+            "abs_j_right": abs(bessel_j(ctx.gamma + 1.0, ctx.a_frak)),
+            "abs_j_left": abs(bessel_j(-ctx.gamma + 1.0, ctx.a_frak)),
+            "witnesses": [rl, rr, t1],
+        }
 
     def test_rejects_free_space(self):
         spec = PotentialSpec(coupling=0.0, m=1, L=math.pi)
