@@ -35,14 +35,9 @@ import math
 from dataclasses import dataclass
 
 from .bessel import bessel_j
-from .errors import (DegenerateDenominatorError, DomainError,
-                     SpectralSingularityError)
+from .errors import DegenerateDenominatorError, DomainError
 from .potential import WaveContext
-from .transfer import ScatteringAmplitudes
-
-#: |denominator| below which the configuration is reported as a spectral
-#: singularity instead of dividing.
-DENOMINATOR_EPS = 1e-10
+from .transfer import TIME_REVERSAL_EPS, ScatteringAmplitudes, _refuse_pole
 
 _PI = math.pi
 
@@ -71,9 +66,11 @@ def boundary_values(ctx: WaveContext) -> BoundaryValues:
     return BoundaryValues(s0_L=s0, s1_L=s1)
 
 
-def amplitudes_analytic(ctx: WaveContext,
-                        singularity_eps: float = DENOMINATOR_EPS) -> ScatteringAmplitudes:
-    """Exact (R_left, R_right, T) plus R^r of the conjugate potential."""
+def amplitudes_analytic(ctx: WaveContext) -> ScatteringAmplitudes:
+    """Exact (R_left, R_right, T) plus R^r of the conjugate potential.
+
+    Refuses poles on |M22| = |D|/(2 gamma) as ``amplitudes_from_matrix`` does.
+    """
     if ctx.spec.coupling == 0:
         return ScatteringAmplitudes(r_left=complex(0.0), r_right=complex(0.0),
                                     t=complex(1.0), r_right_conj_potential=complex(0.0))
@@ -86,10 +83,7 @@ def amplitudes_analytic(ctx: WaveContext,
         jp = bessel_j(n + 1.0, a)
         c = 1j * _PI * m * a2
         den = 2.0 * n - c * jm * jp
-        if abs(den) < singularity_eps:
-            raise SpectralSingularityError(
-                f"|2n - i pi m a^2 J_(n-1) J_(n+1)| = {abs(den):.3e}: "
-                "configuration sits on a pole of T", abs(den))
+        _refuse_pole(abs(den) / (2.0 * n))
         r_right = -c * jp * jp / den
         t = 2.0 * n / den
         r_left = -c * jm * jm / den
@@ -109,16 +103,13 @@ def amplitudes_analytic(ctx: WaveContext,
     j_pm = bessel_j(g - 1.0, a)
     c = 1j * _PI * a2
     den = 2.0 * g - c * mu * j_m * j_p
-    if abs(den) < singularity_eps:
-        raise SpectralSingularityError(
-            f"|2 gamma - i pi a^2 mu J_(-g+1) J_(g+1)| = {abs(den):.3e}: "
-            "configuration sits on a pole of T", abs(den))
+    _refuse_pole(abs(den) / (2.0 * g))
     r_right = -c * mu.conjugate() * j_mm * j_p / den
     t = 2.0 * g / den
     den_c = 2.0 * g + c * mu.conjugate() * j_m * j_p
     rr_conj_star = c * mu * j_m * j_pm / den_c
     t1_den = r_right * rr_conj_star - 1.0
-    if abs(t1_den) < 1e-12:
+    if abs(t1_den) < TIME_REVERSAL_EPS:
         raise DegenerateDenominatorError(
             "R^r conj(R^r_{v*}) - 1 vanishes; left amplitude undefined by this route")
     r_left = t * t * rr_conj_star / t1_den

@@ -88,14 +88,6 @@ class BesselZero:
 
 
 @dataclass(frozen=True)
-class BesselEval:
-    order: float
-    argument: complex
-    value: complex
-    derivative: complex
-
-
-@dataclass(frozen=True)
 class IdentityResiduals:
     """Absolute residuals of the four classical identities at (nu, w)."""
 
@@ -296,12 +288,6 @@ def bessel_j_derivative(nu: float, w: complex, tol: float = 1e-10) -> complex:
             return complex(0.5)
         raise DomainError("derivative at w=0 supported only for nu in {0, 1}")
     return bessel_j(nu - 1.0, w, tol) - (nu / w) * bessel_j(nu, w, tol)
-
-
-def evaluate(nu: float, w: complex, tol: float = 1e-10) -> BesselEval:
-    return BesselEval(order=float(nu), argument=complex(w),
-                      value=bessel_j(nu, w, tol),
-                      derivative=bessel_j_derivative(nu, w, tol))
 
 
 def _j_on_real_axis(nu: float, x: float) -> float:

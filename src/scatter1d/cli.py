@@ -316,8 +316,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     else:
         if args.gamma is None or args.side is None:
             raise _SchemaError("design needs --gamma and --side (or --scenario)")
-        gamma, side, out = args.gamma, args.side, args.out
-        zero = "imaginary_pair" if args.zero == "imaginary_pair" else int(args.zero)
+        gamma, side, zero, out = args.gamma, args.side, args.zero, args.out
     try:
         point = design_unidirectional(gamma, side, zero)
     except (NoSolutionError, DomainError) as exc:
@@ -346,6 +345,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for key, record in rep.records.items():
             print(f"  [info] {rep.suite}/{key}: {json.dumps(record, sort_keys=True)}")
     return EXIT_SUITE_FAILED if failed else EXIT_OK
+
+
+def _zero_selector(text: str):
+    """``--zero``: a positive integer or ``imaginary_pair``."""
+    if text == "imaginary_pair":
+        return text
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(
+        f"expected a positive integer or 'imaginary_pair', got {text!r}")
+
+
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, in any base ``int(text, 0)`` reads."""
+    seed = int(text, 0)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--gamma", type=float)
     p.add_argument("--side", choices=["left", "right"])
-    p.add_argument("--zero", default="imaginary_pair",
+    p.add_argument("--zero", type=_zero_selector, default="imaginary_pair",
                    help="1-based real-zero index or 'imaginary_pair'")
     p.add_argument("--out")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("validate", help="run a property suite")
     p.add_argument("suite", choices=["bessel", "transfer", "analytic", "all"])
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_validate)
     return parser
 

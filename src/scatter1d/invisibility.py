@@ -116,8 +116,7 @@ def _expected_kind(mechanism: Mechanism) -> VerdictKind:
     }[mechanism]
 
 
-def classify(ctx: WaveContext,
-             verdict_eps: float = VERDICT_EPS_ANALYTIC) -> InvisibilityVerdict:
+def classify(ctx: WaveContext) -> InvisibilityVerdict:
     """Classify (spec, k) and corroborate the predicate with amplitudes."""
     if ctx.spec.coupling == 0:
         raise DomainError("classification needs a nonzero coupling")
@@ -141,9 +140,8 @@ def classify(ctx: WaveContext,
     except SpectralSingularityError:
         rl = rr = t1 = math.inf
 
-    left_ok = rl < verdict_eps
-    right_ok = rr < verdict_eps
-    trans_ok = t1 < verdict_eps
+    eps = VERDICT_EPS_ANALYTIC
+    left_ok, right_ok, trans_ok = (v < eps for v in (rl, rr, t1))
     if left_ok and right_ok and trans_ok:
         kind = VerdictKind.BIDIRECTIONAL
     elif left_ok and trans_ok:
@@ -167,10 +165,8 @@ def classify(ctx: WaveContext,
             "witnesses": [rl, rr, t1],
         }
     elif kind != _expected_kind(mechanism):
-        margin = 10.0 * verdict_eps
         # Only escalate when the witnesses are decisively on the wrong side.
-        decisive = all(v < verdict_eps or v > margin for v in (rl, rr, t1))
-        if decisive:
+        if all(v < eps or v > 10.0 * eps for v in (rl, rr, t1)):
             inconsistency = {
                 "type": "predicate_witness_mismatch",
                 "gamma": ctx.gamma,

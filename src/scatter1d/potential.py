@@ -116,15 +116,14 @@ def mu_factor(gamma: float, m: int) -> complex:
     return numerator / denominator
 
 
-def wave_context(spec: PotentialSpec, k: float,
-                 integer_snap_eps: float = INTEGER_SNAP_EPS) -> WaveContext:
+def wave_context(spec: PotentialSpec, k: float) -> WaveContext:
     """Populate gamma, a and mu for the wavenumber ``k``."""
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError("k must be positive and finite")
     gamma = k * spec.L / (math.pi * spec.m)
     a_frak = cmath.sqrt(spec.coupling) / spec.k0
     n = round(gamma)
-    if abs(gamma - n) < integer_snap_eps:
+    if abs(gamma - n) < INTEGER_SNAP_EPS:
         if n < 1:
             raise DomainError("k is vanishingly small against k0 (gamma snapped to 0)")
         mu = complex(((-1) ** ((n + 1) & 1)) * spec.m)

@@ -17,9 +17,11 @@ from scipy.integrate import solve_ivp
 from .errors import ConvergenceError, DomainError
 from .transfer import SampledPotential, ScatteringAmplitudes
 
+#: Relative and absolute tolerances of the DOP853 integration.
+RTOL, ATOL = 1e-11, 1e-13
 
-def shooting_amplitudes(pot: SampledPotential, k: float,
-                        rtol: float = 1e-11, atol: float = 1e-13) -> ScatteringAmplitudes:
+
+def shooting_amplitudes(pot: SampledPotential, k: float) -> ScatteringAmplitudes:
     """(R_left, R_right, T) by shooting and plane-wave matching."""
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError("k must be positive and finite")
@@ -32,7 +34,7 @@ def shooting_amplitudes(pot: SampledPotential, k: float,
     # Left-incident: psi = e^{ikx} beyond a_hi, integrate backwards.
     psi = cmath.exp(1j * k * a_hi)
     sol = solve_ivp(rhs, (a_hi, a_lo), np.array([psi, 1j * k * psi]),
-                    method="DOP853", rtol=rtol, atol=atol)
+                    method="DOP853", rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise ConvergenceError(f"backward shooting failed: {sol.message}")
     p, dp = sol.y[0, -1], sol.y[1, -1]
@@ -44,7 +46,7 @@ def shooting_amplitudes(pot: SampledPotential, k: float,
     # Right-incident: psi = e^{-ikx} below a_lo, integrate forwards.
     psi = cmath.exp(-1j * k * a_lo)
     sol = solve_ivp(rhs, (a_lo, a_hi), np.array([psi, -1j * k * psi]),
-                    method="DOP853", rtol=rtol, atol=atol)
+                    method="DOP853", rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise ConvergenceError(f"forward shooting failed: {sol.message}")
     p, dp = sol.y[0, -1], sol.y[1, -1]

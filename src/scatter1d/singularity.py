@@ -35,17 +35,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bessel import bessel_j, bessel_j_derivative, sinpi
+from .bessel import bessel_j, bessel_j_derivative
 from .errors import ConvergenceError, DomainError, NoSolutionError
-from .potential import INTEGER_SNAP_EPS, PotentialSpec
-from .transfer import SampledPotential, transfer_matrix
+from .potential import INTEGER_SNAP_EPS, PotentialSpec, mu_factor
+from .transfer import SINGULARITY_EPS, SampledPotential, transfer_matrix
 
 #: Defining-equation residual required of every returned root.
 RESIDUAL_TOL = 1e-10
 #: Pairwise distance in a below which two roots are considered the same.
 DEDUP_TOL = 1e-6
-#: |M22| bound used when the direct evolution validates a root.
-ODE_M22_TOL = 1e-8
+#: Imaginary-a window (0, HALF_INTEGER_SCAN_MAX] of ``solve_half_integer``.
+HALF_INTEGER_SCAN_MAX = 12.0
+#: Seed box 0 < Re a <= SCAN_RE_MAX, |Im a| <= SCAN_IM_MAX, SCAN_GRID seeds.
+SCAN_RE_MAX = SCAN_IM_MAX = 2.0
+SCAN_GRID = (6, 7)
 
 _MAX_NEWTON = 100
 
@@ -78,19 +81,16 @@ def _eps0_of(a: complex, gamma: float) -> complex:
 
 
 def _rhs_general(gamma: float, m: int) -> complex:
-    """4 gamma sin(pi gamma) / (pi (1 - e^{2 pi i m gamma})), compensated."""
-    n = round(gamma)
-    delta = gamma - n
-    if abs(delta) < INTEGER_SNAP_EPS:
-        raise DomainError("integer gamma: use solve_integer_gamma")
-    eta = m * gamma - round(m * gamma)
-    if abs(eta) < INTEGER_SNAP_EPS:
+    """4 gamma sin(pi gamma) / (pi (1 - e^{2 pi i m gamma})) = -2i gamma / (pi mu)."""
+    try:
+        mu = mu_factor(gamma, m)
+    except DomainError as exc:
+        raise DomainError("integer gamma: use solve_integer_gamma") from exc
+    if mu == 0:
         raise NoSolutionError(
             "kL is a multiple of pi with non-integer gamma (mu = 0): T = 1 "
             "identically, no spectral singularity exists there")
-    sp = math.sin(math.pi * eta)
-    one_minus_e = complex(2.0 * sp * sp, -math.sin(2.0 * math.pi * eta))
-    return 4.0 * gamma * sinpi(gamma) / (math.pi * one_minus_e)
+    return -2j * gamma / (math.pi * mu)
 
 
 def _newton(f: Callable[[complex], complex],
@@ -243,7 +243,7 @@ def half_integer_residual(p: int, a: complex) -> complex:
         - (-1.0) ** p * (2 * p + 1)
 
 
-def solve_half_integer(p: int, m: int, scan_max: float = 12.0) -> SingularitySolution:
+def solve_half_integer(p: int, m: int) -> SingularitySolution:
     """Real-permittivity root of the printed half-integer closed form.
 
     Requires odd m (for even m the interference factor makes the condition
@@ -275,7 +275,7 @@ def solve_half_integer(p: int, m: int, scan_max: float = 12.0) -> SingularitySol
 
     # Imaginary axis a = ib: the residual is real there.
     scan(lambda b: half_integer_residual(p, 1j * b).real,
-         lambda b: 1j * b, 1e-3, scan_max, 400)
+         lambda b: 1j * b, 1e-3, HALF_INTEGER_SCAN_MAX, 400)
     # Real axis below gamma keeps eps0 positive.
     if gamma > 2e-3:
         scan(lambda t: half_integer_residual(p, complex(t)).real,
@@ -291,7 +291,7 @@ def solve_half_integer(p: int, m: int, scan_max: float = 12.0) -> SingularitySol
                                        gamma=gamma, m=int(m), residual=residual)
     raise NoSolutionError(
         f"no real positive-eps0 solution of the half-integer form for p={p} "
-        f"within the scanned window (0, {scan_max}]")
+        f"within the scanned window (0, {HALF_INTEGER_SCAN_MAX}]")
 
 
 def _bisect(func: Callable[[float], float], lo: float, hi: float) -> float:
@@ -321,15 +321,13 @@ def validate_root_ode(sol: SingularitySolution, tol: float = 1e-10) -> float:
 
 
 def scan_singularities(gamma: float, m: int,
-                       re_max: float = 2.0, im_max: float = 2.0,
-                       grid: tuple[int, int] = (6, 7),
-                       validate: bool = True) -> list[SingularitySolution]:
+                       grid: tuple[int, int] = SCAN_GRID) -> list[SingularitySolution]:
     """Grid-seeded sweep for roots of the singularity condition.
 
-    Seeds Newton from a rectangular grid in the right half a-plane,
-    deduplicates converged roots and (optionally) keeps only those whose
-    directly integrated |M22| falls below ODE_M22_TOL.  Deterministic
-    ordering by (Re a, Im a).
+    Seeds Newton from ``grid`` points (an argument so that perfbench's tracer
+    can count them) in the SCAN_RE_MAX by SCAN_IM_MAX box, deduplicates the
+    roots and keeps those whose integrated |M22| is below SINGULARITY_EPS.
+    Deterministic ordering by (Re a, Im a).
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
@@ -346,9 +344,9 @@ def scan_singularities(gamma: float, m: int,
     solutions: list[SingularitySolution] = []
     n_re, n_im = grid
     for i in range(n_re):
-        re = re_max * (i + 1) / n_re
+        re = SCAN_RE_MAX * (i + 1) / n_re
         for j in range(n_im):
-            im = -im_max + 2.0 * im_max * j / max(n_im - 1, 1)
+            im = -SCAN_IM_MAX + 2.0 * SCAN_IM_MAX * j / max(n_im - 1, 1)
             try:
                 sol = _solve_from_seed(condition, g, m, complex(re, im))
             except (ConvergenceError, NoSolutionError, DomainError):
@@ -360,7 +358,7 @@ def scan_singularities(gamma: float, m: int,
                 continue
             seen.append(sol.a_frak)
             # Written so that a NaN |M22| counts as not validated.
-            if validate and not validate_root_ode(sol) <= ODE_M22_TOL:
+            if not validate_root_ode(sol) < SINGULARITY_EPS:
                 continue
             solutions.append(sol)
     solutions.sort(key=lambda s: (s.a_frak.real, s.a_frak.imag))

@@ -42,9 +42,11 @@ from .errors import (ConvergenceError, DegenerateDenominatorError, DomainError,
                      NearZeroError, SpectralSingularityError)
 from .potential import PotentialSpec, evaluate_potential
 
-#: |M22| below which amplitude extraction refuses to divide and instead
-#: signals a spectral singularity.
+#: |M22| below which a configuration is reported as a spectral singularity
+#: (|T| above 1e8) instead of dividing: the one pole threshold of every route.
 SINGULARITY_EPS = 1e-8
+#: |R^r conj(R^r_{v*}) - 1| below which the time-reversal route to R_left fails.
+TIME_REVERSAL_EPS = 1e-12
 
 _DP_A = (
     (),
@@ -266,17 +268,21 @@ def transfer_matrix(pot: SampledPotential, k: float, tol: float = 1e-10) -> Tran
     return TransferMatrix(m11=m11, m12=m12, m21=m21, m22=m22, k=k)
 
 
-def amplitudes_from_matrix(M: TransferMatrix,
-                           singularity_eps: float = SINGULARITY_EPS) -> ScatteringAmplitudes:
+def _refuse_pole(abs_m22: float) -> None:
+    """Raise :class:`SpectralSingularityError` when |M22| < ``SINGULARITY_EPS``."""
+    if abs_m22 < SINGULARITY_EPS:
+        raise SpectralSingularityError(
+            f"|M22|={abs_m22:.3e} below {SINGULARITY_EPS:.1e}: spectral singularity",
+            abs_m22)
+
+
+def amplitudes_from_matrix(M: TransferMatrix) -> ScatteringAmplitudes:
     """(R_left, R_right, T) from the matrix entries.
 
-    Raises :class:`SpectralSingularityError` when |M22| < ``singularity_eps``,
+    Raises :class:`SpectralSingularityError` when |M22| < ``SINGULARITY_EPS``,
     which is the numerical detection hook for poles of T on the real k axis.
     """
-    mag = abs(M.m22)
-    if mag < singularity_eps:
-        raise SpectralSingularityError(
-            f"|M22|={mag:.3e} below {singularity_eps:.1e}: spectral singularity", mag)
+    _refuse_pole(abs(M.m22))
     t = 1.0 / M.m22
     return ScatteringAmplitudes(r_left=-M.m21 / M.m22, r_right=M.m12 / M.m22, t=t)
 
@@ -309,7 +315,7 @@ def left_reflection_via_conjugate(pot: SampledPotential, k: float,
     Mc = transfer_matrix(pot.conjugate(), k, tol)
     rr_conj_star = (Mc.m12 / Mc.m22).conjugate()
     denom = amps.r_right * rr_conj_star - 1.0
-    if abs(denom) < 1e-12:
+    if abs(denom) < TIME_REVERSAL_EPS:
         raise DegenerateDenominatorError(
             "R^r * conj(R^r_{v*}) - 1 vanishes; the relation's excluded case")
     return amps.t * amps.t * rr_conj_star / denom

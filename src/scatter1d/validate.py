@@ -21,6 +21,9 @@ DEFAULT_SEED = 0x5EED
 
 SUITES = ("bessel", "transfer", "analytic")
 
+#: Random configurations drawn by ``transfer_suite``.
+TRANSFER_ENSEMBLE = 30
+
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -152,10 +155,10 @@ def _random_config(rng: np.random.Generator) -> tuple[potential.PotentialSpec, f
     return spec, gamma * spec.k0
 
 
-def transfer_suite(seed: int = DEFAULT_SEED, ensemble: int = 30) -> SuiteReport:
+def transfer_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     rep = SuiteReport(suite="transfer", seed=seed)
     rng = np.random.default_rng(seed)
-    configs = [_random_config(rng) for _ in range(ensemble)]
+    configs = [_random_config(rng) for _ in range(TRANSFER_ENSEMBLE)]
 
     worst_det = 0.0
     worst_osc = 0.0
@@ -174,7 +177,7 @@ def transfer_suite(seed: int = DEFAULT_SEED, ensemble: int = 30) -> SuiteReport:
                           abs(M2.m21 - M.m21), abs(M2.m22 - M.m22))
     rep.add("unit-determinant", worst_det < 1e-10, f"worst |det-1| {worst_det:.2e}")
     rep.add("closed-form-equivalence", worst_osc < 1e-7,
-            f"worst amplitude deviation {worst_osc:.2e} over {ensemble} configs")
+            f"worst amplitude deviation {worst_osc:.2e} over {TRANSFER_ENSEMBLE} configs")
     rep.add("matrix-amplitude-roundtrip", worst_recon < 1e-10,
             f"worst entry deviation {worst_recon:.2e}")
 

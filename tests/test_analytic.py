@@ -10,8 +10,9 @@ from scatter1d.bessel import real_zeros
 from scatter1d.errors import (DegenerateDenominatorError, DomainError,
                               SpectralSingularityError)
 from scatter1d.potential import PotentialSpec, from_permittivity, wave_context
-from scatter1d.singularity import solve_integer_gamma
-from scatter1d.transfer import SampledPotential, amplitudes_numeric, s_boundary
+from scatter1d.singularity import solve_general, solve_integer_gamma
+from scatter1d.transfer import (SINGULARITY_EPS, SampledPotential,
+                                amplitudes_numeric, s_boundary)
 
 
 class TestBoundaryValues:
@@ -123,6 +124,33 @@ class TestAmplitudes:
         spec = make_spec(sol.a_frak, m=100)
         with pytest.raises(SpectralSingularityError):
             amplitudes_analytic(wave_context(spec, spec.k0))
+
+
+class TestPoleThreshold:
+    """Closed forms and evolution refuse the same poles: |M22| < SINGULARITY_EPS."""
+
+    @staticmethod
+    def routes(sol, offset):
+        spec = make_spec(sol.a_frak * (1.0 + offset), m=sol.m)
+        k = sol.gamma * spec.k0
+        return (lambda: amplitudes_analytic(wave_context(spec, k)),
+                lambda: amplitudes_numeric(SampledPotential.from_spec(spec), k))
+
+    @pytest.mark.parametrize("sol", [solve_integer_gamma(1, 1),
+                                     solve_general(0.5, 1, seed=1.0j)],
+                             ids=["integer", "half_integer"])
+    def test_both_routes_share_the_threshold(self, sol):
+        # a(1 + 1e-9) leaves |M22| ~ 5e-9, a(1 + 3e-9) ~ 1.4e-8
+        magnitudes = []
+        for route in self.routes(sol, 1e-9):
+            with pytest.raises(SpectralSingularityError) as exc:
+                route()
+            magnitudes.append(exc.value.magnitude)
+        assert all(3e-9 < mag < SINGULARITY_EPS for mag in magnitudes)
+        assert magnitudes[0] == pytest.approx(magnitudes[1], rel=1e-3)
+        inverse_t = [1.0 / abs(route().t) for route in self.routes(sol, 3e-9)]
+        assert all(SINGULARITY_EPS < v < 2e-8 for v in inverse_t)
+        assert inverse_t[0] == pytest.approx(inverse_t[1], rel=1e-3)
 
 
 class TestPerturbative:

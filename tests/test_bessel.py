@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from scatter1d import bessel, validate
 from scatter1d.bessel import (TOL_ZERO, W_MAX, ZeroKind, bessel_j,
-                              bessel_j_derivative, evaluate,
+                              bessel_j_derivative,
                               identity_residuals, imaginary_zeros,
                               in_hurwitz_band, real_zeros, relative_floor)
 from scatter1d.errors import AccuracyError, ConvergenceError, DomainError
@@ -105,12 +105,6 @@ class TestDerivative:
         assert bessel_j_derivative(1.0, 0j) == 0.5
         with pytest.raises(DomainError):
             bessel_j_derivative(2.0, 0j)
-
-    def test_evaluate_bundle(self):
-        ev = evaluate(0.5, 1.0 + 1.0j)
-        assert ev.order == 0.5 and ev.argument == 1.0 + 1.0j
-        assert abs(ev.derivative
-                   - (bessel_j(-0.5, 1 + 1j) - 0.5 / (1 + 1j) * ev.value)) == 0.0
 
 
 class TestRealZeros:

@@ -202,6 +202,13 @@ class TestDesign:
                    "--zero", "imaginary_pair"])
         assert rc == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("zero", ["abc", "0", "-1", "1.5"])
+    def test_bad_zero_is_usage_error(self, zero, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--gamma", "2", "--side", "left", "--zero", zero])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "argument --zero" in capsys.readouterr().err
+
     def test_scenario_interface(self, tmp_path, capsys):
         scen = write(tmp_path / "d.json", {
             "analysis": {"type": "design", "gamma": 2.0062,
@@ -224,6 +231,13 @@ class TestValidate:
         rc = main(["validate", "bessel", "--seed", "7"])
         assert rc == EXIT_OK
         assert "seed=0x7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "0x"])
+    def test_bad_seed_is_usage_error(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "bessel", "--seed", seed])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "argument --seed" in capsys.readouterr().err
 
 
 class TestEntry:

@@ -141,7 +141,7 @@ class TestHalfIntegerPrintedForm:
 
 class TestScan:
     def test_finds_published_root_on_integer_line(self):
-        sols = scan_singularities(1.0, 100, re_max=1.0, im_max=1.0, grid=(4, 5))
+        sols = scan_singularities(1.0, 100)
         a_ref = TABLE1[100][0]
         assert any(abs(s.a_frak - a_ref) < 1e-5 for s in sols)
         for s in sols:
@@ -149,7 +149,7 @@ class TestScan:
             assert abs(s.a_frak) > 1e-8
 
     def test_deterministic_ordering(self):
-        sols = scan_singularities(1.0, 100, re_max=1.0, im_max=1.0, grid=(4, 5))
+        sols = scan_singularities(1.0, 100)
         keys = [(s.a_frak.real, s.a_frak.imag) for s in sols]
         assert keys == sorted(keys)
 
