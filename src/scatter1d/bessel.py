@@ -1,9 +1,11 @@
 """Bessel functions of the first kind, real order, complex argument.
 
-Self-contained evaluation of J_nu(w) together with derivatives, real-axis
-zeros, the Hurwitz pair of purely imaginary zeros, and residuals of the
-classical identities (which double as this module's internal consistency
-oracle).
+Self-contained evaluation of J_nu(w) together with derivatives, residuals
+of the classical identities (which double as this module's internal
+consistency oracle), real-axis zeros and the Hurwitz pair of purely
+imaginary zeros.  The zero searches bracket sign changes of J_nu on the
+real axis (``scipy.special.jv``) and of I_nu on the imaginary one
+(``scipy.special.iv``) and refine them with ``scipy.optimize.brentq``.
 
 Evaluation strategy
 -------------------
@@ -46,7 +48,11 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
+from scipy.optimize import brentq
+from scipy.special import iv, jv
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 
@@ -277,7 +283,7 @@ def bessel_j(nu: float, w: complex, tol: float = 1e-10) -> complex:
     return _miller(nu, w)
 
 
-def bessel_j_derivative(nu: float, w: complex, tol: float = 1e-10) -> complex:
+def bessel_j_derivative(nu: float, w: complex) -> complex:
     """J'_nu(w) = J_{nu-1}(w) - (nu/w) J_nu(w)."""
     nu = float(nu)
     w = complex(w)
@@ -287,113 +293,60 @@ def bessel_j_derivative(nu: float, w: complex, tol: float = 1e-10) -> complex:
         if nu == 1.0:
             return complex(0.5)
         raise DomainError("derivative at w=0 supported only for nu in {0, 1}")
-    return bessel_j(nu - 1.0, w, tol) - (nu / w) * bessel_j(nu, w, tol)
+    return bessel_j(nu - 1.0, w) - (nu / w) * bessel_j(nu, w)
 
 
-def _j_on_real_axis(nu: float, x: float) -> float:
-    return bessel_j(nu, complex(x)).real
+def _bracketed_roots(func: Callable[[float], float],
+                     grid: Iterable[float]) -> Iterator[float]:
+    """Zeros of ``func`` along an increasing ``grid``, in increasing order.
 
-
-def _refine_bracketed(func: Callable[[float], float],
-                      deriv: Callable[[float], float],
-                      lo: float, hi: float) -> float:
-    """Safeguarded Newton inside a sign-change bracket."""
-    flo = func(lo)
-    fhi = func(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ConvergenceError(f"no sign change on [{lo!r}, {hi!r}]")
-    x = 0.5 * (lo + hi)
-    fx = func(x)
-    for _ in range(120):
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi = x
-        else:
-            lo, flo = x, fx
-        dfx = deriv(x)
-        if dfx != 0.0:
-            step = fx / dfx
-            cand = x - step
-        else:
-            cand = 0.5 * (lo + hi)
-        if not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        if abs(cand - x) <= 4.0 * _EPS * (abs(x) + 1e-30):
-            return cand
-        x = cand
-        fx = func(x)
-    raise ConvergenceError("zero refinement did not converge")
+    Yields a grid point where ``func`` is exactly 0, and the root of every
+    other sign change between neighbouring grid points: Brent's estimate,
+    which is only within 4 eps |x|, or the adjacent double if |func| is
+    smaller there.  Lazy: the scan stops where the caller stops asking.
+    """
+    prev_t = prev_f = None
+    for t in grid:
+        ft = func(t)
+        if ft == 0.0:
+            yield t
+        elif prev_f is not None and prev_f * ft < 0.0:
+            root, info = brentq(func, prev_t, t, xtol=1e-300, rtol=4.0 * _EPS,
+                                full_output=True, disp=False)
+            if not info.converged:
+                raise ConvergenceError(
+                    f"Brent's method stalled on [{prev_t!r}, {t!r}]: {info.flag}")
+            root = min((math.nextafter(root, -math.inf), root,
+                        math.nextafter(root, math.inf)), key=lambda x: abs(func(x)))
+            yield root
+        prev_t, prev_f = t, ft
 
 
 def real_zeros(nu: float, count: int) -> list[BesselZero]:
     """First ``count`` positive real-axis zeros of J_nu, in increasing order.
 
-    Bracketing scans the axis with a step small against the asymptotic
-    ~pi spacing; each bracket is refined by safeguarded Newton until the
-    zero satisfies |J_nu| <= TOL_ZERO.
+    J_nu on the real axis is taken from ``scipy.special.jv``.  Its sign
+    changes are bracketed on a grid of step pi/4, small against the
+    asymptotic ~pi spacing, from max(0.05, nu) (all positive zeros exceed
+    nu for nu > 0) up to W_MAX - 1, and refined by Brent's method.  Each
+    zero must also satisfy |bessel_j| <= TOL_ZERO.
     """
     nu = float(nu)
     if count < 1:
         raise DomainError("count must be >= 1")
+    if not abs(nu) <= NU_MAX:
+        raise DomainError(f"|nu|={abs(nu):.3g} exceeds supported bound {NU_MAX}")
     zeros: list[BesselZero] = []
-    step = 0.25 * math.pi
-    # All positive zeros of J_nu exceed nu for nu > 0.
-    x = max(0.05, nu)
-    f_prev = _j_on_real_axis(nu, x)
-    deriv = lambda t: bessel_j_derivative(nu, complex(t)).real  # noqa: E731
-    func = lambda t: _j_on_real_axis(nu, t)                     # noqa: E731
-    while len(zeros) < count:
-        x_next = x + step
-        if x_next > W_MAX - 1.0:
-            raise ConvergenceError(
-                f"zero #{len(zeros) + 1} of J_{nu} lies beyond the |w| bound {W_MAX}")
-        f_next = _j_on_real_axis(nu, x_next)
-        if f_prev == 0.0:
-            root = x
-        elif f_prev * f_next < 0.0:
-            root = _refine_bracketed(func, deriv, x, x_next)
-        else:
-            x, f_prev = x_next, f_next
-            continue
+    grid = np.arange(max(0.05, nu), W_MAX - 1.0, 0.25 * math.pi).tolist()
+    for root in _bracketed_roots(lambda x: jv(nu, x), grid):
         if abs(bessel_j(nu, complex(root))) > TOL_ZERO:
             raise ConvergenceError(f"zero refinement of J_{nu} stalled near {root:.6f}")
         zeros.append(BesselZero(order=nu, location=complex(root),
                                 kind=ZeroKind.REAL_AXIS, index=len(zeros) + 1))
-        x, f_prev = x_next, f_next
-    return zeros
-
-
-def _imag_profile(nu: float, y: float) -> float:
-    # J_nu(iy) / (iy/2)^nu = sum_j (y^2/4)^j / (j! Gamma(nu+j+1)), real valued.
-    t = 0.25 * y * y
-    term = _rgamma(nu + 1.0)
-    total = term
-    for j in range(1, _MAX_TERMS):
-        term = term * t / (j * (nu + j))
-        total += term
-        # same valley guard as the main series: do not stop before the
-        # reciprocal-Gamma pole at j ~ -nu has been crossed
-        if abs(term) <= _EPS * abs(total) + 1e-300 and 2 * j > y and j + nu > 0.5:
-            return total
-    raise ConvergenceError(f"imaginary-axis profile series stalled at nu={nu}, y={y:.3g}")
-
-
-def _imag_profile_deriv(nu: float, y: float) -> float:
-    # d/dy of the profile above: (y/2) sum_j (y^2/4)^{j-1} / ((j-1)! Gamma(nu+j+1))
-    t = 0.25 * y * y
-    term = _rgamma(nu + 2.0)
-    total = term
-    for j in range(2, _MAX_TERMS):
-        term = term * t / ((j - 1) * (nu + j))
-        total += term
-        if abs(term) <= _EPS * abs(total) + 1e-300 and 2 * j > y and j + nu > 0.5:
-            break
-    return 0.5 * y * total
+        if len(zeros) >= count:
+            return zeros
+    raise ConvergenceError(
+        f"zero #{len(zeros) + 1} of J_{nu} lies beyond the |w| bound {W_MAX}")
 
 
 def in_hurwitz_band(nu: float) -> bool:
@@ -409,29 +362,24 @@ def in_hurwitz_band(nu: float) -> bool:
 def imaginary_zeros(nu: float) -> Optional[tuple[BesselZero, BesselZero]]:
     """The +-iy pair of purely imaginary zeros of J_nu, or None.
 
-    In a Hurwitz band the sign-definite scaled profile J_nu(iy)/(iy/2)^nu
-    starts negative (1/Gamma(nu+1) < 0) and grows without bound, so the
-    unique pair is located by a sign-change scan along y > 0.
+    On the imaginary axis J_nu(iy)/(iy/2)^nu = I_nu(y)/(y/2)^nu, real and
+    taken from ``scipy.special.iv``.  In a Hurwitz band this profile starts
+    negative (1/Gamma(nu+1) < 0) and grows without bound, so its one zero
+    is bracketed on the geometric grid y = 1e-4 * 1.25^i below y = 45 and
+    refined by Brent's method.
     """
     nu = float(nu)
     if not in_hurwitz_band(nu):
         return None
-    func = lambda y: _imag_profile(nu, y)        # noqa: E731
-    deriv = lambda y: _imag_profile_deriv(nu, y)  # noqa: E731
-    y = 1e-4
-    f_prev = func(y)
-    while y < 45.0:
-        y_next = y * 1.25
-        f_next = func(y_next)
-        if f_prev * f_next <= 0.0:
-            root = _refine_bracketed(func, deriv, y, y_next)
-            loc = complex(0.0, root)
-            plus = BesselZero(order=nu, location=loc,
-                              kind=ZeroKind.IMAGINARY_AXIS, index=1)
-            minus = BesselZero(order=nu, location=-loc,
-                               kind=ZeroKind.IMAGINARY_AXIS, index=1)
-            return (plus, minus)
-        y, f_prev = y_next, f_next
+    # i = 59 is the first grid point past y = 45; it closes the last bracket
+    grid = (1e-4 * 1.25 ** i for i in range(60))
+    for root in _bracketed_roots(lambda y: iv(nu, y) / (0.5 * y) ** nu, grid):
+        loc = complex(0.0, root)
+        plus = BesselZero(order=nu, location=loc,
+                          kind=ZeroKind.IMAGINARY_AXIS, index=1)
+        minus = BesselZero(order=nu, location=-loc,
+                           kind=ZeroKind.IMAGINARY_AXIS, index=1)
+        return (plus, minus)
     raise ConvergenceError(f"imaginary zero of J_{nu} not found below y=45")
 
 

@@ -25,6 +25,7 @@ against the direct solver.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -204,10 +205,11 @@ def design_unidirectional(gamma: float, side: str,
         pair = imaginary_zeros(order)
         assert pair is not None
         rho = pair[0].location
-    elif isinstance(zero_selector, int) and not isinstance(zero_selector, bool):
+    elif (isinstance(zero_selector, numbers.Integral)
+          and not isinstance(zero_selector, bool)):
         if zero_selector < 1:
             raise DomainError("zero index must be >= 1")
-        rho = real_zeros(order, zero_selector)[-1].location
+        rho = real_zeros(order, int(zero_selector))[-1].location
     else:
         raise DomainError("zero_selector must be a positive index or 'imaginary_pair'")
     eps0 = 1.0 - rho * rho / (gamma * gamma)
@@ -248,7 +250,7 @@ def wavelength_sweep(eps0: complex, m: int, L_um: float,
             raise
         return abs(amps.r_left), abs(amps.r_right), abs(amps.t - 1.0)
 
-    arr = np.asarray([one(lam) for lam in lambdas_nm], dtype=float)
+    arr = np.asarray([one(lam) for lam in lambdas_nm], dtype=float).reshape(-1, 3)
     return SweepData(lambda_nm=lambdas_nm.copy(), abs_r_left=arr[:, 0],
                      abs_r_right=arr[:, 1], abs_t_minus_1=arr[:, 2])
 

@@ -28,6 +28,20 @@ from .errors import DomainError
 INTEGER_SNAP_EPS = 1e-9
 
 
+def as_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` if it is integral (2, 2.0, numpy.int64(2)).
+
+    Anything else (2.5, "2", nan, None) or a value below ``minimum``
+    raises :class:`DomainError`.
+    """
+    try:
+        if int(value) == value and value >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Coupling z (units of k0^2), cell count m, support length L."""
@@ -37,12 +51,11 @@ class PotentialSpec:
     L: float
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise DomainError("m must be a positive integer")
+        m = as_integer("m", self.m, 1)
         if not (self.L > 0.0 and math.isfinite(self.L)):
             raise DomainError("L must be positive and finite")
         object.__setattr__(self, "coupling", complex(self.coupling))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "L", float(self.L))
 
     @property

@@ -31,13 +31,14 @@ ODE-validated root instead (eps0 = 5.265622 at p = 0, m = 1).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bessel import bessel_j, bessel_j_derivative
+from .bessel import _bracketed_roots, bessel_j, bessel_j_derivative
 from .errors import ConvergenceError, DomainError, NoSolutionError
-from .potential import INTEGER_SNAP_EPS, PotentialSpec, mu_factor
+from .potential import INTEGER_SNAP_EPS, PotentialSpec, as_integer, mu_factor
 from .transfer import SINGULARITY_EPS, SampledPotential, transfer_matrix
 
 #: Defining-equation residual required of every returned root.
@@ -164,13 +165,12 @@ def _solve_from_seed(condition: _Condition, gamma: float, m: int,
         raise ConvergenceError(f"root residual {residual:.2e} above {RESIDUAL_TOL:.1e}")
     root = _canonical(root)
     return SingularitySolution(a_frak=root, eps0=_eps0_of(root, gamma),
-                               gamma=gamma, m=int(m), residual=residual)
+                               gamma=gamma, m=m, residual=residual)
 
 
 def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
     """Newton solve of the full singularity condition at non-integer gamma."""
-    if m < 1:
-        raise DomainError("m must be a positive integer")
+    m = as_integer("m", m, 1)
     g = float(gamma)
     return _solve_from_seed(_condition(g, m, integer=False), g, m, seed)
 
@@ -194,8 +194,7 @@ def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
     smallest-residual root (canonicalized to Re a >= 0; the condition is
     even in a).
     """
-    if n < 1 or m < 1:
-        raise DomainError("n and m must be positive integers")
+    n, m = as_integer("n", n, 1), as_integer("m", m, 1)
     condition = _condition(n, m, integer=True)
     candidates = []
     for seed in _integer_seeds(n, m):
@@ -210,6 +209,7 @@ def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
 
 def seed_integer_gamma(n: int, m: int) -> complex:
     """Leading-order seed with the branch fixed by Re eps0 > 1, Re a >= 0."""
+    n, m = as_integer("n", n, 1), as_integer("m", m, 1)
     seeds = [_canonical(seed) for seed in _integer_seeds(n, m)]
     if not seeds:
         raise NoSolutionError(f"no seed branch with Re eps0 > 1 for n={n}, m={m}")
@@ -252,35 +252,20 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
     first root found; see the module docstring for the factor-2 caveat
     against the general condition.
     """
-    if m < 1 or m % 2 == 0:
+    p, m = as_integer("p", p, 0), as_integer("m", m, 1)
+    if m % 2 == 0:
         raise DomainError("the half-integer closed form requires odd m")
-    if p < 0:
-        raise DomainError("p must be >= 0 (gamma = p + 1/2 must be positive)")
     gamma = p + 0.5
 
-    roots: list[complex] = []
-
-    def scan(func: Callable[[float], float], to_a: Callable[[float], complex],
-             lo: float, hi: float, steps: int) -> None:
-        prev_t, prev_f = lo, func(lo)
-        for i in range(1, steps + 1):
-            t = lo + (hi - lo) * i / steps
-            ft = func(t)
-            if prev_f == 0.0:
-                roots.append(to_a(prev_t))
-            elif prev_f * ft < 0.0:
-                t_root = _bisect(func, prev_t, t)
-                roots.append(to_a(t_root))
-            prev_t, prev_f = t, ft
-
-    # Imaginary axis a = ib: the residual is real there.
-    scan(lambda b: half_integer_residual(p, 1j * b).real,
-         lambda b: 1j * b, 1e-3, HALF_INTEGER_SCAN_MAX, 400)
-    # Real axis below gamma keeps eps0 positive.
-    if gamma > 2e-3:
-        scan(lambda t: half_integer_residual(p, complex(t)).real,
-             lambda t: complex(t), 1e-3, gamma - 1e-9, 200)
-
+    # Imaginary axis a = ib, then the real axis below gamma (eps0 stays
+    # positive there); the residual is real on both.
+    imag_grid = (1e-3 + (HALF_INTEGER_SCAN_MAX - 1e-3) * i / 400 for i in range(401))
+    real_grid = (1e-3 + (gamma - 1e-9 - 1e-3) * i / 200 for i in range(201))
+    roots = itertools.chain(
+        (1j * b for b in _bracketed_roots(
+            lambda b: half_integer_residual(p, 1j * b).real, imag_grid)),
+        (complex(t) for t in _bracketed_roots(
+            lambda t: half_integer_residual(p, complex(t)).real, real_grid)))
     for root in roots:
         eps0 = _eps0_of(root, gamma)
         if abs(eps0.imag) < 1e-12 and eps0.real > 0:
@@ -288,24 +273,10 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
             if residual > RESIDUAL_TOL:
                 raise ConvergenceError(f"half-integer root residual {residual:.2e}")
             return SingularitySolution(a_frak=_canonical(root), eps0=eps0,
-                                       gamma=gamma, m=int(m), residual=residual)
+                                       gamma=gamma, m=m, residual=residual)
     raise NoSolutionError(
         f"no real positive-eps0 solution of the half-integer form for p={p} "
         f"within the scanned window (0, {HALF_INTEGER_SCAN_MAX}]")
-
-
-def _bisect(func: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = func(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = func(mid)
-        if fm == 0.0 or hi - lo < 1e-15 * (1.0 + abs(mid)):
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def validate_root_ode(sol: SingularitySolution, tol: float = 1e-10) -> float:
@@ -329,8 +300,7 @@ def scan_singularities(gamma: float, m: int,
     roots and keeps those whose integrated |M22| is below SINGULARITY_EPS.
     Deterministic ordering by (Re a, Im a).
     """
-    if m < 1:
-        raise DomainError("m must be a positive integer")
+    m = as_integer("m", m, 1)
     n = round(gamma)
     integer = abs(gamma - n) < INTEGER_SNAP_EPS
 

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import types
 
 import mpmath as mp
 import pytest
@@ -108,11 +109,17 @@ class TestDerivative:
 
 
 class TestRealZeros:
-    def test_j0_first_zeros(self):
-        zs = real_zeros(0.0, 3)
-        assert abs(zs[0].location.real - 2.404825557695773) < 1e-6
-        assert abs(zs[1].location.real - 5.520078110286311) < 1e-8
-        assert [z.index for z in zs] == [1, 2, 3]
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.0062, 4.5, 7.3])
+    def test_first_ten_against_mpmath(self, nu):
+        zs = real_zeros(nu, 10)
+        assert [z.index for z in zs] == list(range(1, 11))
+        for z in zs:
+            ref = float(mp.besseljzero(mp.mpf(nu), z.index))
+            assert abs(z.location.real - ref) <= 5e-13 * ref
+            assert z.location.imag == 0.0
+
+    def test_integral_float_count(self):
+        assert len(real_zeros(0.0, 2.0)) == 2
 
     def test_j2_first_zero(self):
         z = real_zeros(2.0, 1)[0]
@@ -163,10 +170,10 @@ class TestImaginaryZeros:
         assert imaginary_zeros(-2.5) is None
         assert imaginary_zeros(-3.0) is None
 
-    def test_against_dense_scan_oracle(self):
-        # independent check: high-precision scan of |J_{-1.5}(iy)| on a grid,
+    @pytest.mark.parametrize("nu", [-1.0062, -1.5, -1.9999, -3.2, -5.7])
+    def test_against_dense_scan_oracle(self, nu):
+        # independent check: high-precision scan of |J_nu(iy)| on a grid,
         # then bisection on the scaled profile computed with mpmath
-        nu = -1.5
         pair = imaginary_zeros(nu)
         assert pair is not None
 
@@ -181,13 +188,38 @@ class TestImaginaryZeros:
                 break
         assert bracket is not None
         lo, hi = bracket
+        f_lo = profile(lo)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if profile(lo) * profile(mid) <= 0:
+            f_mid = profile(mid)
+            if f_lo * f_mid <= 0:
                 hi = mid
             else:
-                lo = mid
-        assert abs(pair[0].location.imag - 0.5 * (lo + hi)) < 1e-9
+                lo, f_lo = mid, f_mid
+        assert abs(pair[0].location.imag - 0.5 * (lo + hi)) < 1e-13
+
+
+class TestBracketedRoots:
+    def test_exact_grid_zero_yielded_once(self):
+        assert list(bessel._bracketed_roots(lambda x: x - 1.0,
+                                            [0.0, 0.5, 1.0, 1.5, 2.0])) == [1.0]
+
+    def test_no_sign_change_yields_nothing(self):
+        assert list(bessel._bracketed_roots(lambda x: x * x + 1.0,
+                                            [-2.0, -1.0, 0.0, 1.0, 2.0])) == []
+
+    def test_roots_in_grid_order(self):
+        roots = list(bessel._bracketed_roots(math.sin, [0.5 + 0.5 * i for i in range(20)]))
+        assert roots == [math.pi, 2.0 * math.pi, 3.0 * math.pi]
+
+    def test_stalled_brent_is_a_convergence_error(self, monkeypatch):
+        def stalled(f, a, b, **kwargs):
+            return 0.5 * (a + b), types.SimpleNamespace(converged=False,
+                                                        flag="convergence error")
+
+        monkeypatch.setattr(bessel, "brentq", stalled)
+        with pytest.raises(ConvergenceError, match="Brent"):
+            real_zeros(0.0, 1)
 
 
 class TestIdentities:

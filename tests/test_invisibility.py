@@ -185,6 +185,13 @@ class TestDesign:
             design_unidirectional(1.0, "left", 0)
         with pytest.raises(DomainError):
             design_unidirectional(1.0, "left", "sideways")
+        for selector in (True, 2.0, np.int64(0)):
+            with pytest.raises(DomainError):
+                design_unidirectional(0.8, "right", selector)
+
+    def test_numpy_integer_zero_index(self):
+        assert design_unidirectional(0.8, "right", np.int64(2)) \
+            == design_unidirectional(0.8, "right", 2)
 
     def test_designed_points_classify_correctly(self):
         left = design_unidirectional(2.0062, "left", "imaginary_pair")
@@ -235,6 +242,11 @@ class TestSweep:
         assert not np.any(data.abs_r_left)
         assert not np.any(data.abs_r_right)
         assert not np.any(data.abs_t_minus_1)
+
+    def test_empty_wavelength_grid(self):
+        data = wavelength_sweep(1.006, 243, 260.0, np.array([]))
+        assert data.abs_r_left.shape == data.abs_t_minus_1.shape == (0,)
+        assert data.csv_text() == ",".join(SWEEP_CSV_HEADER) + "\r\n"
 
     def test_csv_format(self, tmp_path):
         data = fig1_sweep(samples=5)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_spec
@@ -20,6 +21,13 @@ class TestSpec:
             PotentialSpec(coupling=1.0, m=0, L=1.0)
         with pytest.raises(DomainError):
             PotentialSpec(coupling=1.0, m=1, L=-2.0)
+
+    def test_cell_count_takes_integral_values(self):
+        assert PotentialSpec(coupling=1.0, m=2.0, L=1.0).m == 2
+        assert type(PotentialSpec(coupling=1.0, m=np.int64(2), L=1.0).m) is int
+        for m in (2.5, "2", math.nan, math.inf, None):
+            with pytest.raises(DomainError):
+                PotentialSpec(coupling=1.0, m=m, L=1.0)
 
     def test_free_space_allowed(self):
         spec = PotentialSpec(coupling=0.0, m=1, L=1.0)

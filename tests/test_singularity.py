@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from scatter1d import singularity
@@ -63,6 +64,19 @@ class TestIntegerGamma:
             solve_integer_gamma(0, 10)
         with pytest.raises(DomainError):
             solve_integer_gamma(1, 0)
+
+    @pytest.mark.parametrize("n,m", [(2.0, 30), (np.int64(2), 30), (2, 30.0)])
+    def test_integral_values_accepted(self, n, m):
+        assert solve_integer_gamma(n, m) == solve_integer_gamma(2, 30)
+        assert seed_integer_gamma(n, m) == seed_integer_gamma(2, 30)
+
+    @pytest.mark.parametrize("n,m", [(2.5, 30), ("2", 30), (2, math.nan),
+                                     (None, 30), (0, 10), (1, 0)])
+    def test_non_integral_or_small_rejected(self, n, m):
+        with pytest.raises(DomainError):
+            solve_integer_gamma(n, m)
+        with pytest.raises(DomainError):
+            seed_integer_gamma(n, m)
 
 
 class TestGeneralGamma:
@@ -133,6 +147,13 @@ class TestHalfIntegerPrintedForm:
             solve_half_integer(0, 2)
         with pytest.raises(DomainError):
             solve_half_integer(-1, 1)
+
+    def test_integral_values_accepted(self):
+        assert solve_half_integer(0.0, 1) == solve_half_integer(0, 1)
+        assert solve_half_integer(np.int64(0), 1.0) == solve_half_integer(0, 1)
+        for p, m in [(0.5, 1), (0, 1.5), ("0", 1)]:
+            with pytest.raises(DomainError):
+                solve_half_integer(p, m)
 
     def test_residual_helper_is_real_on_axes(self):
         assert abs(half_integer_residual(0, 1.3j).imag) < 1e-12
