@@ -353,7 +353,10 @@ def in_hurwitz_band(nu: float) -> bool:
     """Whether J_nu possesses a purely imaginary conjugate pair of zeros.
 
     True exactly for non-integer nu in (-2p-2, -2p-1), p = 0, 1, 2, ...
+    Raises :class:`DomainError` for a non-finite nu.
     """
+    if not math.isfinite(nu):
+        raise DomainError(f"order must be finite, got {nu!r}")
     if nu >= -1.0 or nu == math.floor(nu):
         return False
     return int(math.floor(-nu)) % 2 == 1

@@ -192,7 +192,7 @@ def design_unidirectional(gamma: float, side: str,
     purely imaginary pair (left side, gamma in (2p, 2p+1) with p >= 1, the
     case realizable with an ordinary eps0 > 1 material).
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError("gamma must be positive")
     if side not in ("left", "right"):
         raise DomainError("side must be 'left' or 'right'")

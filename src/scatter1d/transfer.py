@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateDenominatorError, DomainError,
                      NearZeroError, SpectralSingularityError)
-from .potential import PotentialSpec, evaluate_potential
+from .potential import PotentialSpec, as_integer, evaluate_potential
 
 #: |M22| below which a configuration is reported as a spectral singularity
 #: (|T| above 1e8) instead of dividing: the one pole threshold of every route.
@@ -94,7 +93,8 @@ class SampledPotential:
     The evaluator is only consulted inside the support; callers promise
     v(x) = 0 outside it.  ``cells`` declares that v repeats ``cells`` times
     over the support, with period d = (a_hi - a_lo) / cells; the transfer
-    matrix then integrates one period only.
+    matrix and the shooting oracle then integrate one period only.  It
+    follows the integer rule of ``PotentialSpec.m`` (2 and 2.0 give 2).
     """
 
     support: tuple[float, float]
@@ -102,9 +102,7 @@ class SampledPotential:
     cells: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.cells, numbers.Integral) and self.cells >= 1):
-            raise DomainError(f"cells must be a positive integer, got {self.cells!r}")
-        object.__setattr__(self, "cells", int(self.cells))
+        object.__setattr__(self, "cells", as_integer("cells", self.cells, 1))
 
     @classmethod
     def from_spec(cls, spec: PotentialSpec) -> "SampledPotential":

@@ -165,6 +165,12 @@ class TestImaginaryZeros:
         assert abs(bessel_j(-1.0062, plus.location)) <= TOL_ZERO
         assert abs(bessel_j_derivative(-1.0062, plus.location)) > 1e-6
 
+    def test_nan_order_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            in_hurwitz_band(math.nan)
+        with pytest.raises(DomainError):
+            imaginary_zeros(math.nan)
+
     def test_outside_band_is_empty(self):
         assert imaginary_zeros(0.5) is None
         assert imaginary_zeros(-2.5) is None

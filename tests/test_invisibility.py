@@ -182,6 +182,8 @@ class TestDesign:
         with pytest.raises(DomainError):
             design_unidirectional(-1.0, "left", 1)
         with pytest.raises(DomainError):
+            design_unidirectional(math.nan, "left", "imaginary_pair")
+        with pytest.raises(DomainError):
             design_unidirectional(1.0, "left", 0)
         with pytest.raises(DomainError):
             design_unidirectional(1.0, "left", "sideways")

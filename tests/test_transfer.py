@@ -1,20 +1,22 @@
 import cmath
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import make_spec
+from scatter1d import shooting
 from scatter1d.analytic import amplitudes_analytic
 from scatter1d.errors import (ConvergenceError, DomainError,
                               SpectralSingularityError)
 from scatter1d.potential import PotentialSpec, wave_context
 from scatter1d.shooting import shooting_amplitudes
 from scatter1d.singularity import solve_integer_gamma
-from scatter1d.transfer import (SampledPotential, TransferMatrix,
-                                amplitudes_from_matrix, amplitudes_numeric,
-                                left_reflection_integral,
+from scatter1d.transfer import (SampledPotential, ScatteringAmplitudes,
+                                TransferMatrix, amplitudes_from_matrix,
+                                amplitudes_numeric, left_reflection_integral,
                                 left_reflection_via_conjugate,
                                 matrix_from_amplitudes, s_boundary,
                                 transfer_matrix)
@@ -31,6 +33,31 @@ def bump(amplitude: complex = 0.8) -> SampledPotential:
     # real smooth bump, exercises the generic (non-exponential) path
     return SampledPotential(support=(0.0, math.pi),
                             evaluate=lambda x: amplitude * math.sin(x) ** 2)
+
+
+def three_bumps() -> SampledPotential:
+    # the bump repeated over three cells
+    return dataclasses.replace(bump(), support=(0.0, 3 * math.pi), cells=3)
+
+
+def evaluator_calls(route, m: int) -> int:
+    # the same cell [0, pi] with k0 = 1, repeated m times: a route that
+    # integrates one cell costs the evaluator as many calls at m = 100 as at 1
+    pot = SampledPotential.from_spec(
+        PotentialSpec(coupling=(0.17 + 0.44j) ** 2, m=m, L=m * math.pi))
+    calls = [0]
+
+    def counting(x):
+        calls[0] += 1
+        return pot.evaluate(x)
+
+    route(dataclasses.replace(pot, evaluate=counting), k=1.3)
+    return calls[0]
+
+
+def opaque_barrier() -> SampledPotential:
+    # each of the 100 cells amplifies the evanescent wave by ~e^10
+    return SampledPotential(support=(0.0, 100.0), evaluate=lambda x: 100 + 0j, cells=100)
 
 
 class TestTransferMatrix:
@@ -98,8 +125,7 @@ class TestCellComposition:
             self.assert_close(transfer_matrix(pot, k), transfer_matrix(whole(pot), k))
 
     def test_periodic_bump(self):
-        pot = SampledPotential(support=(0.0, 3 * math.pi),
-                               evaluate=lambda x: 0.8 * math.sin(x) ** 2, cells=3)
+        pot = three_bumps()
         for k in (0.45, 1.1, 2.3):
             self.assert_close(transfer_matrix(pot, k), transfer_matrix(whole(pot), k))
 
@@ -107,34 +133,72 @@ class TestCellComposition:
         pot = SampledPotential.from_spec(make_spec(0.3 + 0.2j, m=4))
         assert pot.cells == 4 and pot.conjugate().cells == 4
 
-    @pytest.mark.parametrize("cells", [0, -2, 2.5, 2.0, "3"])
+    @pytest.mark.parametrize("cells", [0, -2, 2.5, "3"])
     def test_cells_must_be_positive_integer(self, cells):
         with pytest.raises(DomainError):
             SampledPotential(support=(0.0, 1.0), evaluate=lambda x: 0j, cells=cells)
 
+    def test_integral_float_cell_count_accepted(self):
+        # the same integer rule as PotentialSpec.m
+        cells = SampledPotential(support=(0.0, 1.0), evaluate=lambda x: 0j, cells=2.0).cells
+        assert cells == 2 and type(cells) is int
+
     def test_one_cell_integrated_whatever_the_count(self):
-        # same cell [0, pi] with k0 = 1: the 100-cell slab must cost the
-        # evaluator exactly as many calls as the single cell
-        def evaluations(m: int) -> int:
-            pot = SampledPotential.from_spec(
-                PotentialSpec(coupling=(0.17 + 0.44j) ** 2, m=m, L=m * math.pi))
-            calls = [0]
-
-            def counting(x):
-                calls[0] += 1
-                return pot.evaluate(x)
-
-            transfer_matrix(dataclasses.replace(pot, evaluate=counting), k=1.3)
-            return calls[0]
-
-        assert evaluations(100) == evaluations(1) > 0
+        assert evaluator_calls(transfer_matrix, 100) == evaluator_calls(transfer_matrix, 1) > 0
 
     def test_non_finite_composition_raises(self):
-        # an opaque barrier: each cell amplifies the evanescent wave by ~e^10
-        pot = SampledPotential(support=(0.0, 100.0), evaluate=lambda x: 100 + 0j,
-                               cells=100)
         with pytest.raises(ConvergenceError, match=r"k=1\.0 .*100 cells"):
-            transfer_matrix(pot, k=1.0)
+            transfer_matrix(opaque_barrier(), k=1.0)
+
+
+class TestShootingComposition:
+    @staticmethod
+    def assert_close(composed: ScatteringAmplitudes, full: ScatteringAmplitudes):
+        for attr in ("r_left", "r_right", "t"):
+            a, b = getattr(composed, attr), getattr(full, attr)
+            assert type(a) is complex
+            assert abs(a - b) < 1e-9 * max(1.0, abs(b))
+
+    def test_exponential_slab_matches_full_support(self):
+        rng = np.random.default_rng(7)
+        configs = [(0.7 + 0.45j, 7, gamma) for gamma in (0.37, 1.0, 2.61)]
+        for _ in range(15):
+            a = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+            configs.append((a, int(rng.integers(2, 6)), float(rng.uniform(0.15, 4.5))))
+        for a, m, gamma in configs:
+            spec = make_spec(a, m)
+            pot = SampledPotential.from_spec(spec)
+            k = gamma * m  # k0 = m on L = pi
+            composed = shooting_amplitudes(pot, k)
+            self.assert_close(composed, shooting_amplitudes(whole(pot), k))
+            # and both directions against the closed form
+            ana = amplitudes_analytic(wave_context(spec, k))
+            for attr in ("r_left", "r_right", "t"):
+                assert abs(getattr(composed, attr) - getattr(ana, attr)) < 1e-7
+
+    def test_periodic_bump(self):
+        pot = three_bumps()
+        for k in (0.45, 1.1, 2.3):
+            self.assert_close(shooting_amplitudes(pot, k),
+                              shooting_amplitudes(whole(pot), k))
+
+    def test_one_cell_integrated_whatever_the_count(self):
+        assert (evaluator_calls(shooting_amplitudes, 100)
+                == evaluator_calls(shooting_amplitudes, 1) > 0)
+
+    def test_non_finite_composition_raises(self):
+        with pytest.raises(ConvergenceError, match=r"k=1\.0 .*100 cells"):
+            shooting_amplitudes(opaque_barrier(), k=1.0)
+
+    @pytest.mark.parametrize("success,final,match", [
+        (False, (1, 0, 0, 1), "shooting failed"),
+        (True, (1, 2, 2, 4), r"singular at k=1\.3 over 3 cells"),
+    ])
+    def test_solver_failures_are_convergence_errors(self, monkeypatch, success, final, match):
+        result = SimpleNamespace(success=success, message="stub", y=np.array([final]).T)
+        monkeypatch.setattr(shooting, "solve_ivp", lambda *args, **kwargs: result)
+        with pytest.raises(ConvergenceError, match=match):
+            shooting_amplitudes(three_bumps(), k=1.3)
 
 
 class TestAmplitudes:
