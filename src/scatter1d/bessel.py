@@ -1,39 +1,28 @@
 """Bessel functions of the first kind, real order, complex argument.
 
-Self-contained evaluation of J_nu(w) together with derivatives, residuals
-of the classical identities (which double as this module's internal
-consistency oracle), real-axis zeros and the Hurwitz pair of purely
-imaginary zeros.  The zero searches bracket sign changes of J_nu on the
-real axis (``scipy.special.jv``) and of I_nu on the imaginary one
+J_nu(w) is ``scipy.special.jv`` (AMOS, Amos 1986, ACM TOMS 644) behind a
+thin wrapper that keeps the package's domain.  Around it sit derivatives,
+residuals of the classical identities (which double as this module's
+internal consistency oracle), real-axis zeros and the Hurwitz pair of
+purely imaginary zeros.  The zero searches bracket sign changes of J_nu on
+the real axis (``scipy.special.jv``) and of I_nu on the imaginary one
 (``scipy.special.iv``) and refine them with ``scipy.optimize.brentq``.
 
-Evaluation strategy
--------------------
-* ascending power series with term-ratio truncation when ``|w| <= 12`` or
-  when the argument lies close to the imaginary axis (``|w| - |Im w| <=
-  12``), where the series terms stop alternating destructively;
-* otherwise a backward (Miller) recurrence normalized through the
-  Neumann-type sum ``(w/2)^f = sum_j (f+2j) Gamma(f+j)/j! * J_{f+2j}(w)``,
-  descending below order zero by the three-term recurrence where needed.
-  One recurrence yields every order f + p of the fractional family
-  f = nu - floor(nu), so the last ``FAMILY_CACHE_SIZE`` families are kept
-  and reused: the closed forms, the identities and J' ask for several
-  orders of one or two families at one argument.  The memo keys on the
-  exact f and w together with the signs of their zero components (J on
-  the two sides of the cut, w = -x +- 0i, are conjugates, yet +0.0 and
-  -0.0 compare equal), so a value never depends on what was computed
-  before it.
-
-The two regimes have complementary rounding behaviour: the series loses
-roughly ``0.43 (|w| - |Im w|)`` digits to alternation, the Miller
-normalization roughly ``0.43 |Im w|`` digits.  The resulting cancellation
-floor is modelled a priori by :func:`relative_floor` and a requested
-tolerance below it raises :class:`AccuracyError` instead of returning
-silently degraded values.  On and near both coordinate axes (which is
-where the scattering formulas, the zero searches and the identity suites
-live) the floor stays within a few ulps.  No asymptotic expansions are
-included; arguments beyond ``W_MAX`` are refused rather than evaluated
-badly.
+Wrapper rules
+-------------
+* Domain: finite nu and w with |nu| <= NU_MAX and |w| <= W_MAX, a
+  positive ``tol``, no J_nu(0) at negative non-integer nu, and ``tol`` no
+  smaller than :func:`relative_floor` (else :class:`AccuracyError`).
+* Positive real w goes to the real ``jv(nu, x)``: values there are real
+  exactly, where the complex routine leaves imaginary parts ~1e-17.
+* Im w < 0, or an imaginary part of -0.0, gives conj(jv(nu, conj w)):
+  scipy puts -x - 0i on the upper side of the cut, which would break
+  J_nu(-x - 0i) = conj J_nu(-x + 0i).
+* AMOS reports overflow (nan) once |J| passes ~1e303, four decades short
+  of the double range, at tiny |w| and large negative nu.  There J_nu is
+  taken one step down the three-term recurrence from J_{nu+1} and
+  J_{nu+2}; a value still not finite raises :class:`DomainError` naming
+  nu and w.
 
 Derivatives use the standard identity ``J'_nu(w) = J_{nu-1}(w) -
 (nu/w) J_nu(w)``.  (A variant with a stray factor of ``w`` on the first
@@ -44,7 +33,6 @@ deliberately not reproduced here.)
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,26 +44,17 @@ from scipy.special import iv, jv
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 
-#: Largest |w| this module evaluates.  Everything the scattering formulas
-#: need stays below ~45; the bound leaves headroom without entering the
-#: regime where an asymptotic expansion would be mandatory.
+#: Largest |w| accepted.  Everything the scattering formulas need stays
+#: below ~45.
 W_MAX = 60.0
 
-#: Largest |nu| accepted.  Keeps every Gamma(nu + j + 1) inside double range.
+#: Largest |nu| accepted.
 NU_MAX = 30.0
-
-#: Crossover between the ascending series and the Miller recurrence.
-SERIES_RADIUS = 12.0
 
 #: Function-value bound accepted for a refined zero.
 TOL_ZERO = 1e-10
 
-#: Miller families (fractional order, argument) kept for reuse.  A closed
-#: form or identity touches at most a handful of families at one argument.
-FAMILY_CACHE_SIZE = 8
-
 _EPS = 2.220446049250313e-16
-_MAX_TERMS = 600
 
 
 class ZeroKind(str, Enum):
@@ -114,144 +93,41 @@ def sinpi(x: float) -> float:
     return -s if (int(n) & 1) else s
 
 
-def _rgamma(x: float) -> float:
-    """1/Gamma(x) for real x, exactly 0.0 at the poles."""
-    if x >= 0.5:
-        return 1.0 / math.gamma(x) if x < 171.0 else 0.0
-    if x == math.floor(x):
-        return 0.0
-    return sinpi(x) * math.gamma(1.0 - x) / math.pi
-
-
-def _cpow(base: complex, expo: float) -> complex:
-    """Principal-branch base**expo, arg(base) in (-pi, pi]."""
-    if base == 0:
-        if expo > 0:
-            return complex(0.0)
-        if expo == 0:
-            return complex(1.0)
-        raise DomainError("0 raised to a negative power")
-    return cmath.exp(expo * cmath.log(base))
-
-
-def _use_series(w: complex) -> bool:
-    wmag = abs(w)
-    return wmag <= SERIES_RADIUS or wmag - abs(w.imag) <= SERIES_RADIUS
-
-
 def relative_floor(w: complex) -> float:
-    """A priori relative-error floor of the evaluation at argument ``w``.
+    """Smallest relative tolerance :func:`bessel_j` accepts at ``w``.
 
-    Models the cancellation of whichever method handles ``w``.  Near zeros
-    of J the floor is relative to the natural scale e^{|Im w|}, not to the
-    (possibly tiny) function value itself.
+    This is the accuracy domain the package declares.  Where
+    |w| - |Im w| <= 12 the floor grows as e^{|w| - |Im w|}, the loss of an
+    ascending series to alternation; farther from the imaginary axis it
+    grows as e^{|Im w|}.  Near zeros of J the floor is relative to the
+    natural scale e^{|Im w|}, not to the (possibly tiny) function value
+    itself.  Against mpmath, ``scipy.special.jv`` stays within
+    50 tol max(|J_nu|, |J_{nu+1}|) for every tol >= 1e-14 at or above the
+    floor, except where AMOS flushes |J| < ~1e-290 to 0.
     """
     wmag, im = abs(w), abs(complex(w).imag)
-    loss = max(0.0, wmag - im) if _use_series(w) else im
+    loss = max(0.0, wmag - im) if wmag - im <= 12.0 else im
     return _EPS * 0.2 * math.exp(min(loss, 80.0))
 
 
-def _series(nu: float, w: complex) -> complex:
-    # Ascending series; nu must not be a negative integer (reflected upstream).
-    half = 0.5 * w
-    term = _cpow(half, nu) * _rgamma(nu + 1.0)
-    total = term
-    ratio = -(half * half)
-    peak = abs(term)
-    wmag = abs(w)
-    for j in range(1, _MAX_TERMS):
-        term = term * ratio / (j * (nu + j))
-        total += term
-        mag = abs(term)
-        if mag > peak:
-            peak = mag
-        # For nu near a negative integer the terms pass through a deep
-        # valley just before the reciprocal-Gamma pole at j ~ -nu and grow
-        # again beyond it, so smallness alone must not stop the sum there.
-        if (mag <= 0.25 * _EPS * (abs(total) + peak * _EPS) + 1e-300
-                and 2 * j > wmag and j + nu > 0.5):
-            break
-    else:
-        raise ConvergenceError(
-            f"ascending Bessel series stalled at nu={nu}, |w|={wmag:.3g}")
-    return total
-
-
-@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _miller_family(f: float, w: complex,
-                   signs: tuple[float, float, float]) -> tuple[complex, tuple[complex, ...]]:
-    """Backward recurrence for SERIES_RADIUS < |w| <= W_MAX, order family f + p.
-
-    Returns ``(lam, vals)`` with J_{f+p}(w) = lam * vals[p].  ``signs`` holds
-    the signs of f, Re w and Im w and only keys the memo: +0.0 and -0.0
-    compare and hash alike.
-    """
-    wmag = abs(w)
-    # The start order depends only on |w| (not on the target order), so all
-    # orders of one fractional family come off the identical recurrence and
-    # normalization; three-term identities between them then hold to machine
-    # precision rather than to the normalization's cancellation floor.
-    n_start = int(wmag + NU_MAX) + 46
-
-    vals = [0j] * (n_start + 1)
-    jp1 = 0j
-    jp = 1e-30 + 0j
-    vals[n_start] = jp
-    for p in range(n_start, 0, -1):
-        jm1 = (2.0 * (f + p) / w) * jp - jp1
-        vals[p - 1] = jm1
-        jp1, jp = jp, jm1
-        if abs(jm1.real) > 1e250 or abs(jm1.imag) > 1e250:
-            jp1 *= 1e-250
-            jp *= 1e-250
-            for q in range(p - 1, n_start + 1):
-                vals[q] *= 1e-250
-
-    # Normalization sum over even order offsets: c_0 = Gamma(f+1),
-    # c_1 = (f+2) Gamma(f+1), then c_q = c_{q-1} (f+2q)(f+q-1)/((f+2q-2) q).
-    g1 = math.gamma(f + 1.0)
-    s = g1 * vals[0]
-    if n_start >= 2:
-        cq = (f + 2.0) * g1
-        s += cq * vals[2]
-        for q in range(2, n_start // 2 + 1):
-            cq *= (f + 2 * q) * (f + q - 1.0) / ((f + 2 * q - 2.0) * q)
-            s += cq * vals[2 * q]
-    if s == 0:
-        raise ConvergenceError(f"Miller normalization degenerate at f={f}, |w|={wmag:.3g}")
-    return _cpow(0.5 * w, f) / s, tuple(vals)
-
-
-def _miller(nu: float, w: complex) -> complex:
-    n_low = math.floor(nu)
-    f = nu - n_low
-    signs = (math.copysign(1.0, f), math.copysign(1.0, w.real),
-             math.copysign(1.0, w.imag))
-    try:
-        lam, vals = _miller_family(f, w, signs)
-    except ConvergenceError:
-        raise ConvergenceError(
-            f"Miller normalization degenerate at nu={nu}, |w|={abs(w):.3g}") from None
-
-    if n_low >= 0:
-        return lam * vals[n_low]
-    # Descend below order f.  Safe here: |w| > SERIES_RADIUS > |nu| keeps the
-    # recurrence in its oscillatory regime.
-    below, here = vals[1], vals[0]
-    order = f
-    for _ in range(-n_low):
-        below, here = here, (2.0 * order / w) * here - below
-        order -= 1.0
-    return lam * here
+def _jv(nu: float, w: complex) -> complex:
+    """``scipy.special.jv`` with the side of the cut set by the sign of Im w."""
+    if w.imag == 0.0 and w.real > 0.0:
+        return complex(jv(nu, w.real))
+    if math.copysign(1.0, w.imag) < 0.0:
+        return complex(jv(nu, w.conjugate())).conjugate()
+    return complex(jv(nu, w))
 
 
 def bessel_j(nu: float, w: complex, tol: float = 1e-10) -> complex:
-    """J_nu(w) for real ``nu`` and complex ``w``.
+    """J_nu(w) for real ``nu`` and complex ``w``, from ``scipy.special.jv``.
 
     Relative error <= ``tol`` wherever |J_nu(w)| is not dominated by
     cancellation (i.e. away from zeros); continuous in ``nu`` across
-    integers.  Raises :class:`DomainError` outside |w| <= W_MAX or for
-    non-finite input, :class:`AccuracyError` if ``tol`` is unattainable.
+    integers.  Raises :class:`DomainError` for non-finite input, outside
+    |nu| <= NU_MAX and |w| <= W_MAX, for J_nu(0) at negative non-integer
+    nu and for a value outside double range; :class:`AccuracyError` if
+    ``tol`` lies below :func:`relative_floor`.
     """
     nu = float(nu)
     w = complex(w)
@@ -274,13 +150,15 @@ def bessel_j(nu: float, w: complex, tol: float = 1e-10) -> complex:
     if tol < floor:
         raise AccuracyError(
             f"tol={tol:.1e} unattainable at w={w!r} (cancellation floor ~{floor:.1e})")
-    if nu < 0.0 and nu == math.floor(nu):
-        ell = int(-nu)
-        val = bessel_j(float(ell), w, tol)
-        return -val if ell % 2 else val
-    if _use_series(w):
-        return _series(nu, w)
-    return _miller(nu, w)
+    val = _jv(nu, w)
+    if not cmath.isfinite(val):
+        # AMOS reports overflow once |J| passes ~1e303, four decades short
+        # of the double range; there J_{nu+1} and J_{nu+2} are smaller by
+        # factors ~|w|/|2 nu| and one recurrence step reaches J_nu.
+        val = (2.0 * (nu + 1.0) / w) * _jv(nu + 1.0, w) - _jv(nu + 2.0, w)
+    if not math.isfinite(math.hypot(val.real, val.imag)):
+        raise DomainError(f"J_nu(w) at nu={nu!r}, w={w!r} lies outside double range")
+    return val
 
 
 def bessel_j_derivative(nu: float, w: complex) -> complex:

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 import jsonschema
 import numpy as np
@@ -149,10 +149,29 @@ class _SchemaError(Exception):
     pass
 
 
+def _non_finite(literal: str) -> NoReturn:
+    raise _SchemaError(f"number {literal} in scenario is not a finite double")
+
+
+def _finite_float(literal: str) -> float:
+    """``parse_float`` hook: ``1e400`` and the like would load as inf."""
+    value = float(literal)
+    if not math.isfinite(value):
+        _non_finite(literal)
+    return value
+
+
+def _finite_int(literal: str) -> int:
+    """``parse_int`` hook: the numerics convert every number to a double."""
+    _finite_float(literal)
+    return int(literal)
+
+
 def _load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float,
+                            parse_int=_finite_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise _SchemaError(f"cannot read scenario {path}: {exc}") from exc
     error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(doc))

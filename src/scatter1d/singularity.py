@@ -168,18 +168,26 @@ def _solve_from_seed(condition: _Condition, gamma: float, m: int,
                                gamma=gamma, m=m, residual=residual)
 
 
+def _finite_gamma(gamma: float) -> float:
+    g = float(gamma)
+    if not math.isfinite(g):
+        raise DomainError(f"gamma must be finite, got {gamma!r}")
+    return g
+
+
 def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
     """Newton solve of the full singularity condition at non-integer gamma."""
     m = as_integer("m", m, 1)
-    g = float(gamma)
+    g = _finite_gamma(gamma)
     return _solve_from_seed(_condition(g, m, integer=False), g, m, seed)
 
 
 def _integer_seeds(n: int, m: int) -> list[complex]:
     """Leading-order roots a ~ 2 [n!(n+1)!/(2 pi i m)]^{1/(2n+2)} with Re eps0 > 1."""
     order = 2 * n + 2
-    base = math.factorial(n) * math.factorial(n + 1) / (2.0 * math.pi * m)
-    radius = 2.0 * base ** (1.0 / order)
+    # log n!(n+1)!, which overflows a float as a product from n ~ 100 on
+    log_base = math.lgamma(n + 1) + math.lgamma(n + 2) - math.log(2.0 * math.pi * m)
+    radius = 2.0 * math.exp(log_base / order)
     # arg of n!(n+1)!/(2 pi i m) is -pi/2
     seeds = (radius * cmath.exp(1j * (-0.5 * math.pi + 2.0 * math.pi * j) / order)
              for j in range(order))
@@ -279,7 +287,7 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
         f"within the scanned window (0, {HALF_INTEGER_SCAN_MAX}]")
 
 
-def validate_root_ode(sol: SingularitySolution, tol: float = 1e-10) -> float:
+def validate_root_ode(sol: SingularitySolution) -> float:
     """|M22| from the coefficient evolution at the root's configuration.
 
     One unit cell is integrated and composed over the m cells (see
@@ -287,7 +295,7 @@ def validate_root_ode(sol: SingularitySolution, tol: float = 1e-10) -> float:
     """
     L = math.pi * sol.m  # k0 = 1 in these units
     spec = PotentialSpec(coupling=sol.a_frak ** 2, m=sol.m, L=L)
-    M = transfer_matrix(SampledPotential.from_spec(spec), k=sol.gamma, tol=tol)
+    M = transfer_matrix(SampledPotential.from_spec(spec), k=sol.gamma)
     return abs(M.m22)
 
 
@@ -301,10 +309,11 @@ def scan_singularities(gamma: float, m: int,
     Deterministic ordering by (Re a, Im a).
     """
     m = as_integer("m", m, 1)
+    gamma = _finite_gamma(gamma)
     n = round(gamma)
     integer = abs(gamma - n) < INTEGER_SNAP_EPS
 
-    g = float(n) if integer else float(gamma)
+    g = float(n) if integer else gamma
     try:
         condition = _condition(g, m, integer)
     except NoSolutionError:

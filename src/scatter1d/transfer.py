@@ -46,6 +46,9 @@ from .potential import PotentialSpec, as_integer, evaluate_potential
 SINGULARITY_EPS = 1e-8
 #: |R^r conj(R^r_{v*}) - 1| below which the time-reversal route to R_left fails.
 TIME_REVERSAL_EPS = 1e-12
+#: Local error target per step of every evolution; ``transfer_matrix``
+#: alone takes another through its ``tol``.
+EVOLUTION_TOL = 1e-10
 
 _DP_A = (
     (),
@@ -217,7 +220,8 @@ def _matpow(q: _Mat, n: int) -> _Mat:
         q = _matmul(q, q)
 
 
-def transfer_matrix(pot: SampledPotential, k: float, tol: float = 1e-10) -> TransferMatrix:
+def transfer_matrix(pot: SampledPotential, k: float,
+                    tol: float = EVOLUTION_TOL) -> TransferMatrix:
     """M(k) from the coefficient evolution across one cell, composed over all.
 
     The evolution is integrated over the first period [a_lo, a_lo + d] only,
@@ -295,22 +299,20 @@ def matrix_from_amplitudes(amps: ScatteringAmplitudes, k: float) -> TransferMatr
                           k=k)
 
 
-def amplitudes_numeric(pot: SampledPotential, k: float,
-                       tol: float = 1e-10) -> ScatteringAmplitudes:
+def amplitudes_numeric(pot: SampledPotential, k: float) -> ScatteringAmplitudes:
     """Convenience wrapper: integrate, then convert the matrix."""
-    return amplitudes_from_matrix(transfer_matrix(pot, k, tol))
+    return amplitudes_from_matrix(transfer_matrix(pot, k))
 
 
-def left_reflection_via_conjugate(pot: SampledPotential, k: float,
-                                  tol: float = 1e-10) -> complex:
+def left_reflection_via_conjugate(pot: SampledPotential, k: float) -> complex:
     """R_left through the time-reversal relation.
 
     Runs the evolution for the potential and for its complex conjugate and
     combines R_left = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1).
     """
-    M = transfer_matrix(pot, k, tol)
+    M = transfer_matrix(pot, k)
     amps = amplitudes_from_matrix(M)
-    Mc = transfer_matrix(pot.conjugate(), k, tol)
+    Mc = transfer_matrix(pot.conjugate(), k)
     rr_conj_star = (Mc.m12 / Mc.m22).conjugate()
     denom = amps.r_right * rr_conj_star - 1.0
     if abs(denom) < TIME_REVERSAL_EPS:
@@ -319,8 +321,7 @@ def left_reflection_via_conjugate(pot: SampledPotential, k: float,
     return amps.t * amps.t * rr_conj_star / denom
 
 
-def s_boundary(pot: SampledPotential, k: float,
-               tol: float = 1e-10) -> tuple[complex, complex]:
+def s_boundary(pot: SampledPotential, k: float) -> tuple[complex, complex]:
     """Boundary pair (S0, S1) of the auxiliary second-order system at a_plus.
 
     S0(x) and S1(x) track a solution S and its z-derivative along the phase
@@ -328,12 +329,11 @@ def s_boundary(pot: SampledPotential, k: float,
     S0' = -2ik z S1 and S1' = i v(x)/(2kz) S0 with S0(a_minus) = z(a_minus),
     S1(a_minus) = 1.  T = 1/S1(a_plus) and R^r = S0/S1(a_plus) - z(a_plus).
     """
-    s0, s1, _ = _evolve_s(pot, k, tol, want_integral=False)
+    s0, s1, _ = _evolve_s(pot, k, want_integral=False)
     return s0, s1
 
 
-def left_reflection_integral(pot: SampledPotential, k: float,
-                             tol: float = 1e-10) -> complex:
+def left_reflection_integral(pot: SampledPotential, k: float) -> complex:
     """R_left as the contour integral -int S''/(S S'^2) dz, in x form.
 
     After eliminating S'' through the defining equation the integrand is
@@ -342,16 +342,14 @@ def left_reflection_integral(pot: SampledPotential, k: float,
     1e-10 of a zero of S0 or S1 (callers should fall back to
     :func:`left_reflection_via_conjugate`).
     """
-    _, _, integral = _evolve_s(pot, k, tol, want_integral=True)
+    _, _, integral = _evolve_s(pot, k, want_integral=True)
     return integral
 
 
-def _evolve_s(pot: SampledPotential, k: float, tol: float,
+def _evolve_s(pot: SampledPotential, k: float,
               want_integral: bool) -> tuple[complex, complex, complex]:
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError("k must be positive and finite")
-    if not 0.0 < tol <= 1e-3:
-        raise DomainError("tol must lie in (0, 1e-3]")
     a_lo, a_hi = pot.support
     v = pot.evaluate
     two_ik = 2j * k
@@ -374,7 +372,8 @@ def _evolve_s(pot: SampledPotential, k: float, tol: float,
 
     z_lo = cmath.exp(-two_ik * a_lo)
     s0, s1, integral = _integrate_rk45(rhs, a_lo, a_hi, (z_lo, 1.0, 0.0),
-                                       rtol=0.05 * tol, atol=0.05 * tol, on_accept=watch)
+                                       rtol=0.05 * EVOLUTION_TOL, atol=0.05 * EVOLUTION_TOL,
+                                       on_accept=watch)
     if want_integral and smallest[0] < 1e-10:
         raise NearZeroError(
             f"integration path passed within {smallest[0]:.1e} of a zero of S0/S1",

@@ -117,7 +117,7 @@ def test_criterion_5_oracle_equivalence():
         k = gamma * spec.k0
         pot = SampledPotential.from_spec(spec)
         ana = amplitudes_analytic(wave_context(spec, k))
-        num = amplitudes_numeric(pot, k, tol=1e-10)
+        num = amplitudes_numeric(pot, k)
         shot = shooting_amplitudes(pot, k)
         worst_ana = max(worst_ana, abs(ana.r_left - num.r_left),
                         abs(ana.r_right - num.r_right), abs(ana.t - num.t))

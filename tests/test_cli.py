@@ -115,6 +115,15 @@ class TestSingularity:
     def test_needs_scenario_or_table1(self):
         assert main(["singularity"]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                         pytest.param("1" + "0" * 400, id="int-1e400")])
+    def test_non_finite_number_rejected(self, literal, tmp_path, capsys):
+        scen = tmp_path / "s.json"
+        scen.write_text('{"analysis": {"type": "singularity", "mode": "general", '
+                        f'"gamma": {literal}, "m": 1}}}}')
+        assert main(["singularity", "--scenario", str(scen)]) == EXIT_SCHEMA
+        assert literal in capsys.readouterr().err
+
 
 class TestClassify:
     def classify_rc(self, tmp_path, coupling, m, L, gamma, json_out=True):
@@ -168,6 +177,12 @@ class TestClassify:
         captured = capsys.readouterr()
         assert rc == EXIT_OK
         assert captured.out and captured.err == ""
+
+    def test_bessel_overflow_exits_3(self, tmp_path, capsys):
+        # J_{1-gamma}(a) at a = 1e-15 lies beyond the double range
+        rc = self.classify_rc(tmp_path, complex(1e-30), 1, math.pi, 25.5)
+        assert rc == EXIT_NUMERICAL
+        assert "nu=-24.5" in capsys.readouterr().err
 
     def test_predicate_witness_mismatch_exits_4(self, tmp_path, capsys):
         # a sits 1.5e-8 off the first zero of J_2 on a slab with m large

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -78,8 +79,26 @@ class TestIntegerGamma:
         with pytest.raises(DomainError):
             seed_integer_gamma(n, m)
 
+    def test_large_order_reaches_the_bessel_order_bound(self):
+        with pytest.raises(DomainError, match="nu"):
+            solve_integer_gamma(200, 1)
+
+    def test_large_order_seed_is_the_leading_order_root(self):
+        # |a| = 2 [n!(n+1)!/(2 pi m)]^{1/(2n+2)}, past the float range of n!(n+1)!
+        n = 200
+        base = mp.factorial(n) * mp.factorial(n + 1) / (2 * mp.pi)
+        radius = float(2 * base ** (mp.mpf(1) / (2 * n + 2)))
+        assert abs(abs(seed_integer_gamma(n, 1)) - radius) < 1e-12 * radius
+
 
 class TestGeneralGamma:
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_is_a_domain_error(self, gamma):
+        with pytest.raises(DomainError, match=f"gamma must be finite, got {gamma!r}"):
+            solve_general(gamma, 1, 0.5)
+        with pytest.raises(DomainError, match=f"gamma must be finite, got {gamma!r}"):
+            scan_singularities(gamma, 1)
+
     def test_condition_is_even_in_a(self):
         gamma, m = 0.8, 3
         rhs = 4 * gamma * math.sin(math.pi * gamma) \
@@ -178,9 +197,9 @@ class TestScan:
         # two grid seeds converge to the same rejected root at (1, 1)
         validated = []
 
-        def counting(sol, tol=1e-10):
+        def counting(sol):
             validated.append(sol.a_frak)
-            return validate_root_ode(sol, tol)
+            return validate_root_ode(sol)
 
         monkeypatch.setattr(singularity, "validate_root_ode", counting)
         sols = scan_singularities(1.0, 1)
@@ -191,7 +210,7 @@ class TestScan:
     def test_nan_validation_drops_root(self, monkeypatch):
         calls = []
 
-        def nan_m22(sol, tol=1e-10):
+        def nan_m22(sol):
             calls.append(sol.a_frak)
             return math.nan
 
