@@ -42,6 +42,12 @@ def as_integer(name: str, value, minimum: int) -> int:
     raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_wavenumber(k: float) -> None:
+    """Raise :class:`DomainError` unless ``k`` is positive and finite."""
+    if not (k > 0.0 and math.isfinite(k)):
+        raise DomainError(f"k must be positive and finite, got {k!r}")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Coupling z (units of k0^2), cell count m, support length L."""
@@ -131,8 +137,7 @@ def mu_factor(gamma: float, m: int) -> complex:
 
 def wave_context(spec: PotentialSpec, k: float) -> WaveContext:
     """Populate gamma, a and mu for the wavenumber ``k``."""
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError("k must be positive and finite")
+    check_wavenumber(k)
     gamma = k * spec.L / (math.pi * spec.m)
     a_frak = cmath.sqrt(spec.coupling) / spec.k0
     n = round(gamma)
@@ -155,14 +160,12 @@ def evaluate_potential(spec: PotentialSpec, x: float) -> complex:
 
 def permittivity(spec: PotentialSpec, k: float) -> PermittivityProfile:
     """Optical realization of the potential at wavenumber ``k``."""
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError("k must be positive and finite")
+    check_wavenumber(k)
     eps0 = 1.0 - spec.coupling / (k * k)
     return PermittivityProfile(spec=spec, k=k, eps0=eps0)
 
 
 def from_permittivity(eps0: complex, k: float, m: int, L: float) -> PotentialSpec:
     """Spec with coupling z = k^2 (1 - eps0); inverse of :func:`permittivity`."""
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError("k must be positive and finite")
+    check_wavenumber(k)
     return PotentialSpec(coupling=k * k * (1.0 - complex(eps0)), m=m, L=L)

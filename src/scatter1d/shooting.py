@@ -5,22 +5,24 @@ Integrates -psi'' + v psi = k^2 psi with scipy's DOP853 over one period
 Phi that carries (psi, psi') across the cell.  The equation is invariant
 under a shift by d when v is, so the whole support is crossed by Phi^m,
 m = ``cells``, with no phase correction; one 4-component solve then serves
-both incidence directions, matched to plane waves at the edges.  Deliberately
-shares no code with the coefficient-evolution path in
-:mod:`scatter1d.transfer`, from which it takes only the potential and
-amplitude data types; the two must agree to integration tolerance and are
-cross-checked in the validation suites.
+both incidence directions, matched to plane waves at the edges.  The
+coefficient evolution in :mod:`scatter1d.transfer` runs on the same scipy
+integrator; this route stays independent of it in the equation (psi and
+psi' here, the coefficient pair (A, B) there) and in the plane-wave
+matching, and takes from it only the potential and amplitude data types.
+The two must agree to integration tolerance and are cross-checked in the
+validation suites.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
+from .potential import check_wavenumber
 from .transfer import SampledPotential, ScatteringAmplitudes
 
 #: Relative and absolute tolerances of the DOP853 integration.
@@ -33,8 +35,7 @@ def shooting_amplitudes(pot: SampledPotential, k: float) -> ScatteringAmplitudes
     Raises :class:`ConvergenceError` if the cell solve fails or the composed
     propagator Phi^m is not finite or not invertible.
     """
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError("k must be positive and finite")
+    check_wavenumber(k)
     a_lo, a_hi = pot.support
     cells = pot.cells
     v = pot.evaluate

@@ -306,7 +306,9 @@ def scan_singularities(gamma: float, m: int,
     Seeds Newton from ``grid`` points (an argument so that perfbench's tracer
     can count them) in the SCAN_RE_MAX by SCAN_IM_MAX box, deduplicates the
     roots and keeps those whose integrated |M22| is below SINGULARITY_EPS.
-    Deterministic ordering by (Re a, Im a).
+    Deterministic ordering by (Re a, Im a), with Re a rounded to 12 decimals
+    so that a pair +-ib on the imaginary axis, whose real parts are rounding
+    noise, is ordered by Im a.
     """
     m = as_integer("m", m, 1)
     gamma = _finite_gamma(gamma)
@@ -340,7 +342,7 @@ def scan_singularities(gamma: float, m: int,
             if not validate_root_ode(sol) < SINGULARITY_EPS:
                 continue
             solutions.append(sol)
-    solutions.sort(key=lambda s: (s.a_frak.real, s.a_frak.imag))
+    solutions.sort(key=lambda s: (round(s.a_frak.real, 12), s.a_frak.imag))
     return solutions
 
 

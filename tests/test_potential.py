@@ -9,6 +9,8 @@ from scatter1d.errors import DomainError
 from scatter1d.potential import (PotentialSpec, evaluate_potential,
                                  from_permittivity, mu_factor, permittivity,
                                  wave_context)
+from scatter1d.shooting import shooting_amplitudes
+from scatter1d.transfer import SampledPotential, s_boundary, transfer_matrix
 
 
 class TestSpec:
@@ -32,6 +34,25 @@ class TestSpec:
     def test_free_space_allowed(self):
         spec = PotentialSpec(coupling=0.0, m=1, L=1.0)
         assert spec.coupling == 0
+
+
+SPEC = PotentialSpec(coupling=0.3 + 0.1j, m=2, L=1.0)
+
+
+class TestWavenumber:
+    @pytest.mark.parametrize("entry", [
+        lambda k: wave_context(SPEC, k),
+        lambda k: permittivity(SPEC, k),
+        lambda k: from_permittivity(1.2, k, 2, 1.0),
+        lambda k: transfer_matrix(SampledPotential.from_spec(SPEC), k),
+        lambda k: s_boundary(SampledPotential.from_spec(SPEC), k),
+        lambda k: shooting_amplitudes(SampledPotential.from_spec(SPEC), k),
+    ], ids=["wave_context", "permittivity", "from_permittivity",
+            "transfer_matrix", "s_boundary", "shooting_amplitudes"])
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+    def test_rejected_and_named(self, entry, k):
+        with pytest.raises(DomainError, match=f"k must be positive and finite, got {k!r}$"):
+            entry(k)
 
 
 class TestMu:

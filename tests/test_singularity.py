@@ -12,6 +12,7 @@ from scatter1d.singularity import (half_integer_residual, scan_singularities,
                                    seed_integer_gamma, solve_general,
                                    solve_half_integer, solve_integer_gamma,
                                    validate_root_ode)
+from scatter1d.transfer import SINGULARITY_EPS
 
 # published six-decimal values for the n = 1 lasing points
 TABLE1 = {
@@ -217,6 +218,31 @@ class TestScan:
         monkeypatch.setattr(singularity, "validate_root_ode", nan_m22)
         assert scan_singularities(1.0, 1) == []
         assert calls
+
+    def test_roots_resolved_below_the_threshold(self):
+        # two genuine roots at (0.7, 1) that the evolution at tol 1e-10 must
+        # resolve to |M22| below SINGULARITY_EPS for the scan to keep them
+        sols = scan_singularities(0.7, 1)
+        for a_ref in (4.882128 - 0.101293j, 5.880225 + 0.083898j):
+            sol = next(s for s in sols if abs(s.a_frak - a_ref) < 1e-5)
+            assert validate_root_ode(sol) < SINGULARITY_EPS
+
+    def test_imaginary_pair_ordered_by_imaginary_part(self, monkeypatch):
+        # roots +-0.8589i whose real parts are rounding noise of either sign
+        noisy = [complex(-1e-17, 0.858895), complex(2e-17, -0.858895),
+                 complex(0.954906, 0.0)]
+        seeds = iter(noisy)
+
+        def from_list(condition, gamma, m, seed):
+            a = next(seeds, None)
+            if a is None:
+                raise NoSolutionError("stub")
+            return singularity.SingularitySolution(a, 1.0, gamma, m, 0.0)
+
+        monkeypatch.setattr(singularity, "_solve_from_seed", from_list)
+        monkeypatch.setattr(singularity, "validate_root_ode", lambda sol: 0.0)
+        sols = scan_singularities(0.3, 5)
+        assert [s.a_frak for s in sols] == [noisy[1], noisy[0], noisy[2]]
 
     def test_free_configuration_is_not_singular(self):
         # the zero-coupling slab transmits perfectly: M22 = 1 at any k

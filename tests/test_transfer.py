@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import make_spec
-from scatter1d import shooting
+from scatter1d import shooting, transfer
 from scatter1d.analytic import amplitudes_analytic
-from scatter1d.errors import (ConvergenceError, DomainError,
+from scatter1d.errors import (ConvergenceError, DomainError, NearZeroError,
                               SpectralSingularityError)
 from scatter1d.potential import PotentialSpec, wave_context
 from scatter1d.shooting import shooting_amplitudes
 from scatter1d.singularity import solve_integer_gamma
-from scatter1d.transfer import (SampledPotential, ScatteringAmplitudes,
+from scatter1d.transfer import (TOL_MIN, SampledPotential, ScatteringAmplitudes,
                                 TransferMatrix, amplitudes_from_matrix,
                                 amplitudes_numeric, left_reflection_integral,
                                 left_reflection_via_conjugate,
@@ -105,6 +105,17 @@ class TestTransferMatrix:
             transfer_matrix(FREE, k=1.0, tol=1e-2)
         with pytest.raises(DomainError):
             transfer_matrix(FREE, k=-1.0)
+        # below TOL_MIN, solve_ivp would warn and clamp rtol; at it, neither
+        with pytest.raises(DomainError, match="got 4e-13"):
+            transfer_matrix(FREE, k=1.0, tol=4e-13)
+        transfer_matrix(bump(), k=1.0, tol=TOL_MIN)
+
+    def test_solver_failure_is_convergence_error(self, monkeypatch):
+        result = SimpleNamespace(success=False, message="stub",
+                                 y=np.array([(1, 0, 0, 1)], dtype=complex).T)
+        monkeypatch.setattr(transfer, "solve_ivp", lambda *args, **kwargs: result)
+        with pytest.raises(ConvergenceError, match=r"k=1\.3: stub"):
+            transfer_matrix(three_bumps(), k=1.3)
 
 
 class TestCellComposition:
@@ -283,6 +294,15 @@ class TestLeftReflectionRoutes:
         got = left_reflection_integral(SampledPotential.from_spec(spec), k)
         leading = -1j * math.pi * spec.m * spec.coupling / (2 * spec.k0 ** 2)
         assert abs(got - leading) / abs(leading) < 0.1
+
+    def test_path_near_a_zero_of_s1(self, monkeypatch):
+        # one accepted point with |S1| = 1e-11 between the ends of the path
+        path = np.array([(1, 0.5, -0.3), (1, 1e-11, 0.8), (0, 0.2, 0.4)], dtype=complex)
+        result = SimpleNamespace(success=True, message="stub", y=path)
+        monkeypatch.setattr(transfer, "solve_ivp", lambda *args, **kwargs: result)
+        with pytest.raises(NearZeroError, match="within 1.0e-11"):
+            left_reflection_integral(bump(), k=1.1)
+        assert s_boundary(bump(), k=1.1) == (-0.3, 0.8)
 
     def test_boundary_state_initial_condition(self):
         s0, s1 = s_boundary(FREE, k=1.7)
