@@ -23,14 +23,14 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .errors import (ConvergenceError, DomainError, NoSolutionError,
-                     Scatter1dError, SpectralSingularityError)
+from .errors import (ConvergenceError, NoSolutionError, Scatter1dError,
+                     SpectralSingularityError)
 from .invisibility import (SWEEP_CSV_HEADER, SweepData, classify,
                            design_unidirectional, wavelength_sweep)
 from .potential import PotentialSpec, from_permittivity, wave_context
 from .singularity import (solve_general, solve_half_integer,
                           solve_integer_gamma, table1_rows)
-from .validate import DEFAULT_SEED, run_suite
+from .validate import DEFAULT_SEED, SUITES, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -115,14 +115,6 @@ SCENARIO_SCHEMA = {
                         "seed_im": {"type": "number"},
                     },
                     "required": ["type", "mode"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "type": {"const": "validate"},
-                        "suite": {"enum": ["bessel", "transfer", "analytic", "all"]},
-                    },
-                    "required": ["type", "suite"],
                     "additionalProperties": False,
                 },
             ],
@@ -227,17 +219,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     block = scenario["potential"]
     lambdas = np.linspace(analysis["lambda_min_nm"], analysis["lambda_max_nm"],
                           analysis["samples"])
-    try:
-        if "coupling_re" in block:
-            coupling = complex(block["coupling_re"], block["coupling_im"])
-            data = wavelength_sweep(0.0, block["m"], block["L_um"], lambdas,
-                                    coupling=coupling)
-        else:
-            eps0 = complex(block["eps0_re"], block["eps0_im"])
-            data = wavelength_sweep(eps0, block["m"], block["L_um"], lambdas)
-    except SpectralSingularityError as exc:
-        print(f"numerical failure during sweep: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if "coupling_re" in block:
+        coupling = complex(block["coupling_re"], block["coupling_im"])
+        data = wavelength_sweep(0.0, block["m"], block["L_um"], lambdas,
+                                coupling=coupling)
+    else:
+        eps0 = complex(block["eps0_re"], block["eps0_im"])
+        data = wavelength_sweep(eps0, block["m"], block["L_um"], lambdas)
     out = _output_path(scenario, args)
     fmt = scenario.get("output", {}).get("format", "csv")
     _emit(data.csv_text() if fmt == "csv" else _sweep_json(data), out)
@@ -276,9 +264,6 @@ def cmd_singularity(args: argparse.Namespace) -> int:
         _emit(_json_artifact({"solutions": [], "no_solution": str(exc)}),
               _output_path(scenario, args))
         return EXIT_OK
-    except (ConvergenceError, DomainError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     _emit(_json_artifact({"solutions": [sol.as_record()]}),
           _output_path(scenario, args))
     return EXIT_OK
@@ -336,11 +321,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         if args.gamma is None or args.side is None:
             raise _SchemaError("design needs --gamma and --side (or --scenario)")
         gamma, side, zero, out = args.gamma, args.side, args.zero, args.out
-    try:
-        point = design_unidirectional(gamma, side, zero)
-    except (NoSolutionError, DomainError) as exc:
-        print(f"design failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    point = design_unidirectional(gamma, side, zero)
     _emit(_json_artifact({
         "gamma": point.gamma,
         "side": point.side,
@@ -420,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("validate", help="run a property suite")
-    p.add_argument("suite", choices=["bessel", "transfer", "analytic", "all"])
+    p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_validate)
     return parser

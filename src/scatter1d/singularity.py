@@ -18,14 +18,15 @@ the published reduction this module solves
 
     4 a^3 j_{p+1}(a) j_{-p}(a) = (-1)^p (2p + 1)
 
-(spherical Bessel j).  CAUTION: that printed reduction disagrees with the
-general condition above by a factor of 2 on the left-hand side (the
-self-consistent form has 2 a^3, as direct substitution of
-J_{p+1/2} = sqrt(2w/pi) j_p shows, and only the 2 a^3 roots drive the
-numerically integrated |M22| to zero).  ``solve_half_integer`` keeps the
-printed equation so its p = 0 solution reproduces the tabulated
-eps0 = 4.127542; ``solve_general`` at gamma = p + 1/2 yields the
-ODE-validated root instead (eps0 = 5.265622 at p = 0, m = 1).
+(spherical Bessel j), evaluated as 2 pi a^2 J_{gamma+1}(a) J_{1-gamma}(a)
+through j_n(w) = sqrt(pi/(2w)) J_{n+1/2}(w) (DLMF 10.47.3).  CAUTION: at
+gamma = p + 1/2 and odd m the general condition above is
+pi a^2 J_{gamma+1}(a) J_{1-gamma}(a) = (-1)^p (2p + 1), so the printed form
+is off by exactly a factor 2, and only the general roots drive the
+integrated |M22| to zero.  ``solve_half_integer`` keeps the printed
+equation so its p = 0 solution reproduces the tabulated eps0 = 4.127542;
+``solve_general`` at gamma = p + 1/2 yields the ODE-validated root instead
+(eps0 = 5.265622 at p = 0, m = 1).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bessel import _bracketed_roots, bessel_j, bessel_j_derivative
+from .bessel import _bracketed_roots, bessel_j
 from .errors import ConvergenceError, DomainError, NoSolutionError
 from .potential import INTEGER_SNAP_EPS, PotentialSpec, as_integer, mu_factor
 from .transfer import SINGULARITY_EPS, SampledPotential, transfer_matrix
@@ -53,8 +54,8 @@ SCAN_GRID = (6, 7)
 
 _MAX_NEWTON = 100
 
-#: (f, f', Newton scale) of one singularity condition; see ``_condition``.
-_Condition = tuple[Callable[[complex], complex], Callable[[complex], complex], float]
+#: ((f, f') evaluator, Newton scale) of one singularity condition; see ``_condition``.
+_Condition = tuple[Callable[[complex], tuple[complex, complex]], float]
 
 
 @dataclass(frozen=True)
@@ -94,28 +95,21 @@ def _rhs_general(gamma: float, m: int) -> complex:
     return -2j * gamma / (math.pi * mu)
 
 
-def _newton(f: Callable[[complex], complex],
-            df: Callable[[complex], complex],
+def _newton(f_df: Callable[[complex], tuple[complex, complex]],
             seed: complex, scale: float) -> tuple[complex, float]:
     a = complex(seed)
     trail = [a]
     for _ in range(_MAX_NEWTON):
-        fa = f(a)
+        fa, d = f_df(a)
         if abs(fa) < 1e-13 * scale:
             return a, abs(fa)
-        d = df(a)
         if abs(d) < 1e-14:
-            # Analytic derivative stalled; central difference restores a step.
-            h = 1e-6 * (1.0 + abs(a))
-            d = (f(a + h) - f(a - h)) / (2.0 * h)
-            if abs(d) < 1e-14:
-                raise ConvergenceError(f"derivative vanished at a={a!r}")
+            raise ConvergenceError(f"derivative vanished at a={a!r}")
         step = fa / d
         a = a - step
         trail.append(a)
         if abs(step) < 5e-16 * (1.0 + abs(a)):
-            fa = f(a)
-            return a, abs(fa)
+            return a, abs(f_df(a)[0])
     raise ConvergenceError(
         f"Newton did not converge from seed {seed!r}; trajectory tail "
         f"{[format(t, '.6g') for t in trail[-4:]]}")
@@ -128,10 +122,11 @@ def _canonical(a: complex) -> complex:
 
 
 def _condition(gamma: float, m: int, integer: bool) -> _Condition:
-    """f(a) = a^2 J_lo(a) J_{gamma+1}(a) - rhs, its derivative and Newton's scale.
+    """(f, f') at a of f(a) = a^2 J_lo(a) J_{gamma+1}(a) - rhs, and Newton's scale.
 
     At integer gamma = n the limit form lo = n - 1, rhs = -2in/(pi m) is
-    used; otherwise lo = 1 - gamma and rhs is ``_rhs_general``.
+    used; otherwise lo = 1 - gamma and rhs is ``_rhs_general``.  Four J
+    evaluations per point: J_lo, J_hi and J'_nu = J_{nu-1} - (nu/a) J_nu.
     """
     if integer:
         n = round(gamma)
@@ -143,24 +138,23 @@ def _condition(gamma: float, m: int, integer: bool) -> _Condition:
         rhs = _rhs_general(gamma, m)
         scale = max(1.0, abs(rhs))
 
-    def f(a: complex) -> complex:
-        return a * a * bessel_j(lo, a) * bessel_j(hi, a) - rhs
+    def f_df(a: complex) -> tuple[complex, complex]:
+        j_lo = bessel_j(lo, a)
+        j_hi = bessel_j(hi, a)
+        d_lo = bessel_j(lo - 1.0, a) - (lo / a) * j_lo
+        d_hi = bessel_j(hi - 1.0, a) - (hi / a) * j_hi
+        a2 = a * a
+        return (a2 * j_lo * j_hi - rhs,
+                2.0 * a * j_lo * j_hi + a2 * d_lo * j_hi + a2 * j_lo * d_hi)
 
-    def df(a: complex) -> complex:
-        jm = bessel_j(lo, a)
-        jp = bessel_j(hi, a)
-        return (2.0 * a * jm * jp
-                + a * a * bessel_j_derivative(lo, a) * jp
-                + a * a * jm * bessel_j_derivative(hi, a))
-
-    return f, df, scale
+    return f_df, scale
 
 
 def _solve_from_seed(condition: _Condition, gamma: float, m: int,
                      seed: complex) -> SingularitySolution:
     """Newton-refine ``seed`` on a ``_condition`` and check the residual."""
-    f, df, scale = condition
-    root, residual = _newton(f, df, seed, scale)
+    f_df, scale = condition
+    root, residual = _newton(f_df, seed, scale)
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(f"root residual {residual:.2e} above {RESIDUAL_TOL:.1e}")
     root = _canonical(root)
@@ -224,30 +218,9 @@ def seed_integer_gamma(n: int, m: int) -> complex:
     return max(seeds, key=lambda seed: seed.real)
 
 
-def _spherical_j(n: int, w: complex) -> complex:
-    """Spherical Bessel j_n for integer n (either sign) from the trig forms."""
-    if w == 0:
-        raise DomainError("spherical j evaluated at 0")
-    j0 = cmath.sin(w) / w
-    if n == 0:
-        return j0
-    jm1 = cmath.cos(w) / w  # j_{-1}
-    if n > 0:
-        prev, cur = jm1, j0
-        for q in range(0, n):
-            prev, cur = cur, (2 * q + 1) / w * cur - prev
-        return cur
-    prev, cur = j0, jm1  # descending: j_{q-1} = (2q+1)/w j_q - j_{q+1}
-    q = -1
-    while q > n:
-        prev, cur = cur, (2 * q + 1) / w * cur - prev
-        q -= 1
-    return cur
-
-
 def half_integer_residual(p: int, a: complex) -> complex:
     """LHS - RHS of the printed half-integer reduction at gamma = p + 1/2."""
-    return 4.0 * a ** 3 * _spherical_j(p + 1, a) * _spherical_j(-p, a) \
+    return 2.0 * math.pi * a * a * bessel_j(p + 1.5, a) * bessel_j(0.5 - p, a) \
         - (-1.0) ** p * (2 * p + 1)
 
 

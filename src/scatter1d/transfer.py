@@ -114,8 +114,8 @@ class SampledPotential:
 
 def _evolve(rhs: Callable[[float, np.ndarray], Sequence[complex]],
             x0: float, x1: float, y0: Sequence[complex], k: float,
-            tol: float) -> np.ndarray:
-    """States at the accepted DOP853 points from x0 to x1, one per column.
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted DOP853 points from x0 to x1 and the states there, one per column.
 
     Raises :class:`ConvergenceError` naming ``k`` if the solve fails.
     """
@@ -123,7 +123,7 @@ def _evolve(rhs: Callable[[float, np.ndarray], Sequence[complex]],
                     method="DOP853", rtol=0.05 * tol, atol=0.05 * tol)
     if not sol.success:
         raise ConvergenceError(f"evolution failed at k={k!r}: {sol.message}")
-    return sol.y
+    return sol.t, sol.y
 
 
 def transfer_matrix(pot: SampledPotential, k: float,
@@ -162,7 +162,7 @@ def transfer_matrix(pot: SampledPotential, k: float,
                 -c * (u11 / e + u21),
                 -c * (u12 / e + u22))
 
-    m1 = _evolve(rhs, a_lo, a_lo + d, (1, 0, 0, 1), k, tol)[:, -1].reshape(2, 2)
+    m1 = _evolve(rhs, a_lo, a_lo + d, (1, 0, 0, 1), k, tol)[1][:, -1].reshape(2, 2)
     p_inv = np.array([[cmath.exp(1j * k * d)], [cmath.exp(-1j * k * d)]])
     p_m = np.array([[cmath.exp(-1j * k * cells * d)], [cmath.exp(1j * k * cells * d)]])
     with np.errstate(all="ignore"):
@@ -242,9 +242,9 @@ def left_reflection_integral(pot: SampledPotential, k: float) -> complex:
 
     After eliminating S'' through the defining equation the integrand is
     -i v(x) e^{2ikx} / (2k S1(x)^2), accumulated alongside the evolution
-    of (S0, S1).  Raises :class:`NearZeroError` if the path passes within
-    1e-10 of a zero of S0 or S1 (callers should fall back to
-    :func:`left_reflection_via_conjugate`).
+    of (S0, S1).  Raises :class:`NearZeroError`, located at the accepted x
+    nearest the zero, if the path passes within 1e-10 of a zero of S0 or
+    S1 (callers should fall back to :func:`left_reflection_via_conjugate`).
     """
     _, _, integral = _evolve_s(pot, k, want_integral=True)
     return integral
@@ -269,12 +269,14 @@ def _evolve_s(pot: SampledPotential, k: float,
         return (ds0, ds1, 0j)
 
     z_lo = cmath.exp(-two_ik * a_lo)
-    path = _evolve(rhs, a_lo, a_hi, (z_lo, 1, 0), k, EVOLUTION_TOL)
+    xs, path = _evolve(rhs, a_lo, a_hi, (z_lo, 1, 0), k, EVOLUTION_TOL)
     s0, s1, integral = map(complex, path[:, -1])
     if want_integral:
-        smallest = float(np.abs(path[:2, 1:]).min(initial=np.inf))
-        if smallest < 1e-10:
+        # min(|S0|, |S1|) at each accepted x; it is 1 at the start, |z_lo| = 1
+        closest = np.abs(path[:2]).min(axis=0)
+        at = int(closest.argmin())
+        if closest[at] < 1e-10:
             raise NearZeroError(
-                f"integration path passed within {smallest:.1e} of a zero of S0/S1",
-                location=a_hi)
+                f"integration path passed within {closest[at]:.1e} of a zero of S0/S1",
+                location=float(xs[at]))
     return s0, s1, integral

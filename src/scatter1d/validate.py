@@ -163,11 +163,14 @@ def transfer_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     worst_det = 0.0
     worst_osc = 0.0
     worst_recon = 0.0
+    # The evolution's amplitudes at tol 1e-10, reused by the checks below.
+    evolved = []
     for spec, k in configs:
         pot = transfer.SampledPotential.from_spec(spec)
         M = transfer.transfer_matrix(pot, k, tol=1e-10)
         worst_det = max(worst_det, abs(M.determinant() - 1.0))
         amps = transfer.amplitudes_from_matrix(M)
+        evolved.append(amps)
         ana = analytic.amplitudes_analytic(potential.wave_context(spec, k))
         worst_osc = max(worst_osc, abs(amps.r_left - ana.r_left),
                         abs(amps.r_right - ana.r_right), abs(amps.t - ana.t))
@@ -182,19 +185,17 @@ def transfer_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
             f"worst entry deviation {worst_recon:.2e}")
 
     worst_shoot = 0.0
-    for spec, k in configs[:10]:
-        pot = transfer.SampledPotential.from_spec(spec)
-        a1 = transfer.amplitudes_from_matrix(transfer.transfer_matrix(pot, k, tol=1e-10))
-        a2 = shooting.shooting_amplitudes(pot, k)
+    for (spec, k), a1 in zip(configs[:10], evolved):
+        a2 = shooting.shooting_amplitudes(transfer.SampledPotential.from_spec(spec), k)
         worst_shoot = max(worst_shoot, abs(a1.r_left - a2.r_left),
                           abs(a1.r_right - a2.r_right), abs(a1.t - a2.t))
     rep.add("shooting-equivalence", worst_shoot < 1e-6,
             f"worst deviation {worst_shoot:.2e} over 10 configs")
 
     worst_routes = 0.0
-    for spec, k in configs[:8]:
+    for (spec, k), amps in zip(configs[:8], evolved):
         pot = transfer.SampledPotential.from_spec(spec)
-        direct = transfer.amplitudes_from_matrix(transfer.transfer_matrix(pot, k)).r_left
+        direct = amps.r_left
         via_conj = transfer.left_reflection_via_conjugate(pot, k)
         integral = transfer.left_reflection_integral(pot, k)
         worst_routes = max(worst_routes, abs(direct - via_conj), abs(direct - integral))

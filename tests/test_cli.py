@@ -115,6 +115,15 @@ class TestSingularity:
     def test_needs_scenario_or_table1(self):
         assert main(["singularity"]) == EXIT_SCHEMA
 
+    def test_general_solver_failure_exits_3(self, tmp_path, capsys):
+        # from the default seed Newton leaves the supported |w| range
+        scen = write(tmp_path / "s.json", {
+            "analysis": {"type": "singularity", "mode": "general",
+                         "gamma": 2.5, "m": 1},
+        })
+        assert main(["singularity", "--scenario", scen]) == EXIT_NUMERICAL
+        assert "|w|=166 exceeds supported bound" in capsys.readouterr().err
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
                                          pytest.param("1" + "0" * 400, id="int-1e400")])
     def test_non_finite_number_rejected(self, literal, tmp_path, capsys):

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from scatter1d import singularity
+from scatter1d import bessel, singularity
 from scatter1d.bessel import bessel_j
 from scatter1d.errors import DomainError, NoSolutionError
 from scatter1d.singularity import (half_integer_residual, scan_singularities,
@@ -27,6 +27,31 @@ def denominator(sol):
     a = sol.a_frak
     return abs(2 * n - 1j * math.pi * sol.m * a * a
                * bessel_j(n - 1.0, a) * bessel_j(n + 1.0, a))
+
+
+class TestCondition:
+    CASES = [(1.0, 100, True), (3.0, 7, True), (0.8, 3, False), (2.5, 1, False)]
+
+    @pytest.mark.parametrize("gamma,m,integer", CASES)
+    def test_one_evaluation_is_four_bessel_calls(self, monkeypatch, gamma, m, integer):
+        f_df, _ = singularity._condition(gamma, m, integer)
+        orders = []
+        jv = bessel._jv
+
+        def counting(nu, w):
+            orders.append(nu)
+            return jv(nu, w)
+
+        monkeypatch.setattr(bessel, "_jv", counting)
+        f_df(0.7 + 0.4j)
+        assert len(orders) == 4
+
+    @pytest.mark.parametrize("gamma,m,integer", CASES)
+    def test_derivative_matches_central_difference(self, gamma, m, integer):
+        f_df, _ = singularity._condition(gamma, m, integer)
+        a, h = 0.7 + 0.4j, 1e-6
+        fd = (f_df(a + h)[0] - f_df(a - h)[0]) / (2 * h)
+        assert abs(f_df(a)[1] - fd) <= 1e-7 * abs(fd)
 
 
 class TestIntegerGamma:
@@ -120,6 +145,10 @@ class TestGeneralGamma:
         assert abs(a * a * bessel_j(0.2, a) * bessel_j(1.8, a) - rhs) < 1e-10
         assert validate_root_ode(sol) < 1e-6
 
+    def test_seed_at_zero_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            solve_general(0.7, 1, seed=0)
+
     def test_half_integer_even_m_has_no_solution(self):
         with pytest.raises(NoSolutionError):
             solve_general(0.5, 2, seed=1j)
@@ -178,6 +207,34 @@ class TestHalfIntegerPrintedForm:
     def test_residual_helper_is_real_on_axes(self):
         assert abs(half_integer_residual(0, 1.3j).imag) < 1e-12
         assert abs(half_integer_residual(1, 0.9j).imag) < 1e-12
+
+    @pytest.mark.parametrize("a", [0.9, 2.3, 7.5, 1.3j, 0.8j, 1.1 + 0.7j,
+                                   -0.8 + 1.9j, 2.0 - 0.5j])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_residual_matches_trig_forms(self, p, a):
+        # 4 a^3 j_{p+1}(a) j_{-p}(a) from the explicit spherical Bessel forms
+        a = complex(a)
+        s, c = cmath.sin(a), cmath.cos(a)
+        j_up = {1: s / a ** 2 - c / a,
+                2: (3 / a ** 2 - 1) * s / a - 3 * c / a ** 2,
+                3: (15 / a ** 3 - 6 / a) * s / a - (15 / a ** 2 - 1) * c / a}
+        j_down = {0: s / a, -1: c / a, -2: -c / a ** 2 - s / a}
+        lhs = 4 * a ** 3 * j_up[p + 1] * j_down[-p]
+        got = half_integer_residual(p, a) + (-1) ** p * (2 * p + 1)
+        assert abs(got - lhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_higher_orders_solve_the_printed_form(self, p):
+        # an upward spherical Bessel recurrence loses every digit near a = 0
+        # at these orders; check the root against mpmath's J_{p+3/2} J_{1/2-p}
+        sol = solve_half_integer(p, 1)
+        assert sol.eps0.imag == 0.0 and sol.eps0.real > 1.0
+        a = mp.mpc(sol.a_frak)
+        lhs = 2 * mp.pi * a ** 2 * mp.besselj(p + 1.5, a) * mp.besselj(0.5 - p, a)
+        assert abs(complex(lhs) - (-1) ** p * (2 * p + 1)) < 1e-10
+
+    def test_residual_at_zero_is_its_limit(self):
+        assert half_integer_residual(0, 0) == -1.0
 
 
 class TestScan:

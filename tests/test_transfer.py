@@ -298,10 +298,12 @@ class TestLeftReflectionRoutes:
     def test_path_near_a_zero_of_s1(self, monkeypatch):
         # one accepted point with |S1| = 1e-11 between the ends of the path
         path = np.array([(1, 0.5, -0.3), (1, 1e-11, 0.8), (0, 0.2, 0.4)], dtype=complex)
-        result = SimpleNamespace(success=True, message="stub", y=path)
+        result = SimpleNamespace(success=True, message="stub", t=np.array([0, 1.3, math.pi]),
+                                 y=path)
         monkeypatch.setattr(transfer, "solve_ivp", lambda *args, **kwargs: result)
-        with pytest.raises(NearZeroError, match="within 1.0e-11"):
+        with pytest.raises(NearZeroError, match="within 1.0e-11") as exc:
             left_reflection_integral(bump(), k=1.1)
+        assert exc.value.location == 1.3
         assert s_boundary(bump(), k=1.1) == (-0.3, 0.8)
 
     def test_boundary_state_initial_condition(self):
