@@ -31,7 +31,7 @@ from .invisibility import (DesignPoint, InvisibilityVerdict, Mechanism,
                            wavelength_sweep)
 from .potential import (PermittivityProfile, PotentialSpec, WaveContext,
                         evaluate_potential, from_permittivity, mu_factor,
-                        permittivity, wave_context)
+                        permittivity, snap_gamma, wave_context)
 from .shooting import shooting_amplitudes
 from .singularity import (SingularitySolution, scan_singularities,
                           seed_integer_gamma, solve_general,

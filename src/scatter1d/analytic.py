@@ -1,32 +1,33 @@
 """Closed-form scattering amplitudes for the truncated exponential potential.
 
-For non-integer gamma the boundary values of the auxiliary solution are
+With gamma = k/k0, a = sqrt(z)/k0 and the interference factor mu of
+:func:`scatter1d.potential.mu_factor`, the boundary values of the auxiliary
+solution are
 
     S0(L) = 1 - i pi a mu* J_gamma(a) J_{-gamma-1}(a),
     S1(L) = 1 - (i pi a^2 mu / 2 gamma) J_{gamma+1}(a) J_{-gamma+1}(a),
 
 and the amplitudes follow as
 
-    R^r = -i pi a^2 mu* J_{-gamma-1}(a) J_{gamma+1}(a) / D,
     T   = 2 gamma / D,                 D = 2 gamma - i pi a^2 mu J_{-gamma+1} J_{gamma+1},
+    R^r = -i pi a^2 mu* J_{-gamma-1}(a) J_{gamma+1}(a) / D,
+    R^l = -i pi a^2 mu  J_{-gamma+1}(a) J_{gamma-1}(a) / D,
     conj(R^r_{v*}) = i pi a^2 mu J_{-gamma+1}(a) J_{gamma-1}(a)
-                     / (2 gamma + i pi a^2 mu* J_{-gamma+1} J_{gamma+1}),
+                     / (2 gamma + i pi a^2 mu* J_{-gamma+1} J_{gamma+1}).
 
-with R_left recovered from the time-reversal relation
-R^l = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1).  The mu*/mu asymmetry
-between numerators and denominators is genuine (mu is complex for generic
-gamma); the a^2 power in the reflection numerators is fixed by the
-integer-gamma limit and confirmed against the direct evolution solver to
-1e-13.  Integer gamma = n uses the exact limits (mu -> (-1)^(n+1) m and
-J_{-l} = (-1)^l J_l):
+The mu*/mu asymmetry between numerators and denominators is genuine (mu
+is complex for generic gamma); the a^2 power in the reflection numerators
+is confirmed against the direct evolution solver to 1e-13, and R^l
+satisfies the time-reversal relation
+R^l = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1), which the validate
+suite checks rather than uses.
 
-    R^r = -i pi m a^2 J_{n+1}^2 / D_n,     T = 2n / D_n,
-    R^l = -i pi m a^2 J_{n-1}^2 / D_n,     D_n = 2n - i pi m a^2 J_{n-1} J_{n+1},
-    conj(R^r_{v*}) = i pi m a^2 J_{n-1}^2 / (2n + i pi m a^2 J_{n-1} J_{n+1}).
-
-Near-integer gamma needs no special casing beyond the snap in
-``wave_context``: mu is evaluated through compensated mod-1 reductions, so
-the 0/0 structure never surfaces.
+The same formulas hold at every gamma.  Integer gamma = n is only the
+limit mu -> (-1)^(n+1) m, which ``wave_context`` puts into the context
+together with the snapped order gamma = n; with J_{-l} = (-1)^l J_l this
+is the familiar D_n = 2n - i pi m a^2 J_{n-1} J_{n+1}.  Near-integer gamma
+needs nothing more: mu is evaluated through compensated mod-1 reductions,
+so the 0/0 structure never surfaces.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from .bessel import bessel_j
 from .errors import DegenerateDenominatorError, DomainError
 from .potential import WaveContext
-from .transfer import TIME_REVERSAL_EPS, ScatteringAmplitudes, _refuse_pole
+from .transfer import ScatteringAmplitudes, _refuse_pole
 
 _PI = math.pi
 
@@ -51,10 +52,7 @@ class BoundaryValues:
 
 
 def boundary_values(ctx: WaveContext) -> BoundaryValues:
-    """Closed-form (S0(L), S1(L)); non-integer gamma only."""
-    if ctx.gamma_is_integer:
-        raise DomainError("boundary_values requires non-integer gamma; "
-                          "amplitudes_analytic handles the integer limit")
+    """Closed-form (S0(L), S1(L)); integer gamma through the limit of mu."""
     if ctx.spec.coupling == 0:
         return BoundaryValues(s0_L=complex(1.0), s1_L=complex(1.0))
     a = ctx.a_frak
@@ -69,34 +67,18 @@ def boundary_values(ctx: WaveContext) -> BoundaryValues:
 def amplitudes_analytic(ctx: WaveContext) -> ScatteringAmplitudes:
     """Exact (R_left, R_right, T) plus R^r of the conjugate potential.
 
-    Refuses poles on |M22| = |D|/(2 gamma) as ``amplitudes_from_matrix`` does.
+    One formula for every gamma (see the module docstring).  Refuses poles
+    on |M22| = |D|/(2 gamma) as ``amplitudes_from_matrix`` does.
     """
-    if ctx.spec.coupling == 0:
+    mu = ctx.mu
+    if ctx.spec.coupling == 0 or mu == 0:
+        # No potential, or kL in pi Z with gamma non-integer: bidirectionally
+        # invisible.
         return ScatteringAmplitudes(r_left=complex(0.0), r_right=complex(0.0),
                                     t=complex(1.0), r_right_conj_potential=complex(0.0))
     a = ctx.a_frak
     a2 = a * a
-    if ctx.gamma_is_integer:
-        n = ctx.gamma_integer
-        m = ctx.spec.m
-        jm = bessel_j(n - 1.0, a)
-        jp = bessel_j(n + 1.0, a)
-        c = 1j * _PI * m * a2
-        den = 2.0 * n - c * jm * jp
-        _refuse_pole(abs(den) / (2.0 * n))
-        r_right = -c * jp * jp / den
-        t = 2.0 * n / den
-        r_left = -c * jm * jm / den
-        rr_conj_star = c * jm * jm / (2.0 * n + c * jm * jp)
-        return ScatteringAmplitudes(r_left=r_left, r_right=r_right, t=t,
-                                    r_right_conj_potential=rr_conj_star.conjugate())
-
     g = ctx.gamma
-    mu = ctx.mu
-    if mu == 0:
-        # kL in pi Z with gamma non-integer: bidirectionally invisible.
-        return ScatteringAmplitudes(r_left=complex(0.0), r_right=complex(0.0),
-                                    t=complex(1.0), r_right_conj_potential=complex(0.0))
     j_p = bessel_j(g + 1.0, a)
     j_m = bessel_j(-g + 1.0, a)
     j_mm = bessel_j(-g - 1.0, a)
@@ -106,13 +88,9 @@ def amplitudes_analytic(ctx: WaveContext) -> ScatteringAmplitudes:
     _refuse_pole(abs(den) / (2.0 * g))
     r_right = -c * mu.conjugate() * j_mm * j_p / den
     t = 2.0 * g / den
-    den_c = 2.0 * g + c * mu.conjugate() * j_m * j_p
-    rr_conj_star = c * mu * j_m * j_pm / den_c
-    t1_den = r_right * rr_conj_star - 1.0
-    if abs(t1_den) < TIME_REVERSAL_EPS:
-        raise DegenerateDenominatorError(
-            "R^r conj(R^r_{v*}) - 1 vanishes; left amplitude undefined by this route")
-    r_left = t * t * rr_conj_star / t1_den
+    left = c * mu * j_m * j_pm
+    r_left = -left / den
+    rr_conj_star = left / (2.0 * g + c * mu.conjugate() * j_m * j_p)
     return ScatteringAmplitudes(r_left=r_left, r_right=r_right, t=t,
                                 r_right_conj_potential=rr_conj_star.conjugate())
 

@@ -8,7 +8,7 @@ dimensionless quantities
 * ``gamma = k / k0``  (dimensionless wavenumber),
 * ``a = sqrt(z) / k0``  (dimensionless coupling, principal square root),
 * ``mu = (1 - exp(2 pi i m gamma)) / (2 i sin(pi gamma))``  (cell
-  interference factor),
+  interference factor; its limit (-1)^(n+1) m at integer gamma = n),
 
 plus the optical dictionary ``z = k^2 (1 - eps0)`` relating the coupling
 to the permittivity at the left face of the slab.
@@ -23,8 +23,9 @@ from typing import Optional
 
 from .errors import DomainError
 
-#: |gamma - round(gamma)| below which gamma is declared integer and mu is
-#: set by its exact limit (-1)^(n+1) m instead of the 0/0 ratio.
+#: |gamma - round(gamma)| below which gamma is declared integer: it is
+#: replaced by that integer, and mu by its exact limit (-1)^(n+1) m
+#: instead of the 0/0 ratio.
 INTEGER_SNAP_EPS = 1e-9
 
 
@@ -86,14 +87,18 @@ class WaveContext:
 
     spec: PotentialSpec
     k: float
-    gamma: float
+    gamma: float  # k/k0 after snap_gamma: the Bessel order
     a_frak: complex
     mu: complex
-    gamma_integer: Optional[int]  # set when gamma snapped to an integer
+
+    @property
+    def gamma_integer(self) -> Optional[int]:
+        """n when gamma snapped to the integer n, else None."""
+        return int(self.gamma) if self.gamma.is_integer() else None
 
     @property
     def gamma_is_integer(self) -> bool:
-        return self.gamma_integer is not None
+        return self.gamma.is_integer()
 
     @property
     def eps0(self) -> complex:
@@ -114,18 +119,36 @@ class PermittivityProfile:
         return complex(1.0)
 
 
+def snap_gamma(gamma: float) -> float:
+    """``gamma``, or the integer within INTEGER_SNAP_EPS of it (as a float).
+
+    The one integer test of the package: the snapped value is the Bessel
+    order of every closed form and singularity condition.  A ``gamma``
+    that snaps to 0 raises :class:`DomainError`.
+    """
+    n = round(gamma)
+    if abs(gamma - n) >= INTEGER_SNAP_EPS:
+        return gamma
+    if n == 0:
+        raise DomainError(
+            f"k is vanishingly small against k0 (gamma={gamma!r} snapped to 0)")
+    return float(n)
+
+
 def mu_factor(gamma: float, m: int) -> complex:
-    """(1 - e^{2 pi i m gamma}) / (2 i sin(pi gamma)) for non-integer gamma.
+    """(1 - e^{2 pi i m gamma}) / (2 i sin(pi gamma)), and its limit.
 
     Evaluated through the reductions eta = m gamma mod 1 and
     delta = gamma mod 1, which are exact for integer m and avoid the
     catastrophic cancellation of the naive quotient near kL in pi Z.
-    Returns exactly 0 when m gamma is (numerically) an integer.
+    At integer gamma = n (see :func:`snap_gamma`) the 0/0 form is replaced
+    by its exact limit (-1)^(n+1) m; otherwise it returns exactly 0 when
+    m gamma is (numerically) an integer.
     """
     n = round(gamma)
     delta = gamma - n
     if abs(delta) < INTEGER_SNAP_EPS:
-        raise DomainError("mu_factor is a 0/0 form at integer gamma; use the limit")
+        return complex(-m if n % 2 == 0 else m)
     eta = m * gamma - round(m * gamma)
     if abs(eta) < INTEGER_SNAP_EPS:
         return complex(0.0)
@@ -138,17 +161,10 @@ def mu_factor(gamma: float, m: int) -> complex:
 def wave_context(spec: PotentialSpec, k: float) -> WaveContext:
     """Populate gamma, a and mu for the wavenumber ``k``."""
     check_wavenumber(k)
-    gamma = k * spec.L / (math.pi * spec.m)
-    a_frak = cmath.sqrt(spec.coupling) / spec.k0
-    n = round(gamma)
-    if abs(gamma - n) < INTEGER_SNAP_EPS:
-        if n < 1:
-            raise DomainError("k is vanishingly small against k0 (gamma snapped to 0)")
-        mu = complex(((-1) ** ((n + 1) & 1)) * spec.m)
-        return WaveContext(spec=spec, k=k, gamma=gamma, a_frak=a_frak,
-                           mu=mu, gamma_integer=int(n))
-    return WaveContext(spec=spec, k=k, gamma=gamma, a_frak=a_frak,
-                       mu=mu_factor(gamma, spec.m), gamma_integer=None)
+    gamma = snap_gamma(k * spec.L / (math.pi * spec.m))
+    return WaveContext(spec=spec, k=k, gamma=gamma,
+                       a_frak=cmath.sqrt(spec.coupling) / spec.k0,
+                       mu=mu_factor(gamma, spec.m))
 
 
 def evaluate_potential(spec: PotentialSpec, x: float) -> complex:

@@ -6,12 +6,18 @@ optical realization).  From the closed-form denominator this happens
 exactly when
 
     a^2 J_{-gamma+1}(a) J_{gamma+1}(a) = 4 gamma sin(pi gamma)
-                                         / (pi (1 - e^{2 pi i m gamma})),
+                                         / (pi (1 - e^{2 pi i m gamma}))
+                                       = -2i gamma / (pi mu),
 
-solved here by Newton's method in the complex coupling parameter a.  For
-integer gamma = n the right-hand side reduces to -2in/(pi m) and a good
-seed is a ~ 2 [n!(n+1)!/(2 pi i m)]^{1/(2n+2)} with the root branch chosen
-so that Re eps0 > 1.
+solved here by Newton's method in the complex coupling parameter a.  The
+condition is even in a, so a and -a are one singularity; roots are
+reported with Re a >= 0 and told apart by their coupling a^2.  Every gamma
+uses this one condition: integer gamma = n is the limit
+mu -> (-1)^(n+1) m that :func:`scatter1d.potential.mu_factor` returns
+(the right-hand side becomes (-1)^n 2in/(pi m), and with
+J_{1-n} = (-1)^(n-1) J_{n-1} the familiar a^2 J_{n-1} J_{n+1} = -2in/(pi m)).
+A good integer-gamma seed is a ~ 2 [n!(n+1)!/(2 pi i m)]^{1/(2n+2)} with
+the root branch chosen so that Re eps0 > 1.
 
 Half-integer gamma = p + 1/2 admits a trigonometric closed form; following
 the published reduction this module solves
@@ -37,17 +43,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bessel import _bracketed_roots, bessel_j
+import numpy as np
+
+from .bessel import W_MAX, _bracketed_roots, bessel_j
 from .errors import ConvergenceError, DomainError, NoSolutionError
-from .potential import INTEGER_SNAP_EPS, PotentialSpec, as_integer, mu_factor
+from .potential import PotentialSpec, as_integer, mu_factor, snap_gamma
 from .transfer import SINGULARITY_EPS, SampledPotential, transfer_matrix
 
 #: Defining-equation residual required of every returned root.
 RESIDUAL_TOL = 1e-10
-#: Pairwise distance in a below which two roots are considered the same.
+#: Distance in the coupling a^2 below which two roots are considered the
+#: same (the condition is even in a, so a and -a are one singularity).
 DEDUP_TOL = 1e-6
-#: Imaginary-a window (0, HALF_INTEGER_SCAN_MAX] of ``solve_half_integer``.
-HALF_INTEGER_SCAN_MAX = 12.0
+#: Grid step along the imaginary-a window (0, W_MAX) of ``solve_half_integer``.
+HALF_INTEGER_SCAN_STEP = 0.03
 #: Seed box 0 < Re a <= SCAN_RE_MAX, |Im a| <= SCAN_IM_MAX, SCAN_GRID seeds.
 SCAN_RE_MAX = SCAN_IM_MAX = 2.0
 SCAN_GRID = (6, 7)
@@ -82,19 +91,6 @@ def _eps0_of(a: complex, gamma: float) -> complex:
     return 1.0 - a * a / (gamma * gamma)
 
 
-def _rhs_general(gamma: float, m: int) -> complex:
-    """4 gamma sin(pi gamma) / (pi (1 - e^{2 pi i m gamma})) = -2i gamma / (pi mu)."""
-    try:
-        mu = mu_factor(gamma, m)
-    except DomainError as exc:
-        raise DomainError("integer gamma: use solve_integer_gamma") from exc
-    if mu == 0:
-        raise NoSolutionError(
-            "kL is a multiple of pi with non-integer gamma (mu = 0): T = 1 "
-            "identically, no spectral singularity exists there")
-    return -2j * gamma / (math.pi * mu)
-
-
 def _newton(f_df: Callable[[complex], tuple[complex, complex]],
             seed: complex, scale: float) -> tuple[complex, float]:
     a = complex(seed)
@@ -121,22 +117,22 @@ def _canonical(a: complex) -> complex:
     return a
 
 
-def _condition(gamma: float, m: int, integer: bool) -> _Condition:
-    """(f, f') at a of f(a) = a^2 J_lo(a) J_{gamma+1}(a) - rhs, and Newton's scale.
+def _condition(gamma: float, m: int) -> _Condition:
+    """(f, f') at a of f(a) = a^2 J_{1-gamma}(a) J_{gamma+1}(a) - rhs, and Newton's scale.
 
-    At integer gamma = n the limit form lo = n - 1, rhs = -2in/(pi m) is
-    used; otherwise lo = 1 - gamma and rhs is ``_rhs_general``.  Four J
-    evaluations per point: J_lo, J_hi and J'_nu = J_{nu-1} - (nu/a) J_nu.
+    rhs = 4 gamma sin(pi gamma) / (pi (1 - e^{2 pi i m gamma})) = -2i gamma / (pi mu),
+    with mu from :func:`mu_factor`, so an integer ``gamma`` (already
+    snapped) takes its limit there.  Four J evaluations per point: J_lo,
+    J_hi and J'_nu = J_{nu-1} - (nu/a) J_nu.
     """
-    if integer:
-        n = round(gamma)
-        lo, hi = n - 1.0, n + 1.0
-        rhs = -2j * n / (math.pi * m)
-        scale = max(abs(rhs), 1e-6)
-    else:
-        lo, hi = -gamma + 1.0, gamma + 1.0
-        rhs = _rhs_general(gamma, m)
-        scale = max(1.0, abs(rhs))
+    mu = mu_factor(gamma, m)
+    if mu == 0:
+        raise NoSolutionError(
+            "kL is a multiple of pi with non-integer gamma (mu = 0): T = 1 "
+            "identically, no spectral singularity exists there")
+    lo, hi = -gamma + 1.0, gamma + 1.0
+    rhs = -2j * gamma / (math.pi * mu)
+    scale = max(abs(rhs), 1e-6)
 
     def f_df(a: complex) -> tuple[complex, complex]:
         j_lo = bessel_j(lo, a)
@@ -162,18 +158,19 @@ def _solve_from_seed(condition: _Condition, gamma: float, m: int,
                                gamma=gamma, m=m, residual=residual)
 
 
-def _finite_gamma(gamma: float) -> float:
+def _order(gamma: float) -> float:
+    """Finite ``gamma`` after :func:`snap_gamma`: the Bessel order."""
     g = float(gamma)
     if not math.isfinite(g):
         raise DomainError(f"gamma must be finite, got {gamma!r}")
-    return g
+    return snap_gamma(g)
 
 
 def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
-    """Newton solve of the full singularity condition at non-integer gamma."""
+    """Newton solve of the full singularity condition from ``seed``, at any gamma."""
     m = as_integer("m", m, 1)
-    g = _finite_gamma(gamma)
-    return _solve_from_seed(_condition(g, m, integer=False), g, m, seed)
+    g = _order(gamma)
+    return _solve_from_seed(_condition(g, m), g, m, seed)
 
 
 def _integer_seeds(n: int, m: int) -> list[complex]:
@@ -191,13 +188,15 @@ def _integer_seeds(n: int, m: int) -> list[complex]:
 def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
     """Singularity at gamma = n from a^2 J_{n-1}(a) J_{n+1}(a) = -2in/(pi m).
 
+    This is the general condition at the integer limit of mu.
+
     Seeds every (2n+2)-th root branch of the leading-order solution, keeps
     the branches with Re eps0 > 1, Newton-refines each and returns the
     smallest-residual root (canonicalized to Re a >= 0; the condition is
     even in a).
     """
     n, m = as_integer("n", n, 1), as_integer("m", m, 1)
-    condition = _condition(n, m, integer=True)
+    condition = _condition(float(n), m)
     candidates = []
     for seed in _integer_seeds(n, m):
         try:
@@ -228,10 +227,10 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
     """Real-permittivity root of the printed half-integer closed form.
 
     Requires odd m (for even m the interference factor makes the condition
-    unsatisfiable).  Scans the imaginary-a axis (eps0 > 1) and the real-a
-    segment below gamma (eps0 in (0,1)) for sign changes and refines the
-    first root found; see the module docstring for the factor-2 caveat
-    against the general condition.
+    unsatisfiable).  Scans the imaginary-a axis below W_MAX (eps0 > 1) and
+    the real-a segment below gamma (eps0 in (0,1)) for sign changes and
+    refines the first root found; see the module docstring for the
+    factor-2 caveat against the general condition.
     """
     p, m = as_integer("p", p, 0), as_integer("m", m, 1)
     if m % 2 == 0:
@@ -240,7 +239,7 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
 
     # Imaginary axis a = ib, then the real axis below gamma (eps0 stays
     # positive there); the residual is real on both.
-    imag_grid = (1e-3 + (HALF_INTEGER_SCAN_MAX - 1e-3) * i / 400 for i in range(401))
+    imag_grid = np.arange(1e-3, W_MAX, HALF_INTEGER_SCAN_STEP).tolist()
     real_grid = (1e-3 + (gamma - 1e-9 - 1e-3) * i / 200 for i in range(201))
     roots = itertools.chain(
         (1j * b for b in _bracketed_roots(
@@ -257,7 +256,7 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
                                        gamma=gamma, m=m, residual=residual)
     raise NoSolutionError(
         f"no real positive-eps0 solution of the half-integer form for p={p} "
-        f"within the scanned window (0, {HALF_INTEGER_SCAN_MAX}]")
+        f"within the scanned window (0, {W_MAX})")
 
 
 def validate_root_ode(sol: SingularitySolution) -> float:
@@ -278,23 +277,20 @@ def scan_singularities(gamma: float, m: int,
 
     Seeds Newton from ``grid`` points (an argument so that perfbench's tracer
     can count them) in the SCAN_RE_MAX by SCAN_IM_MAX box, deduplicates the
-    roots and keeps those whose integrated |M22| is below SINGULARITY_EPS.
-    Deterministic ordering by (Re a, Im a), with Re a rounded to 12 decimals
-    so that a pair +-ib on the imaginary axis, whose real parts are rounding
-    noise, is ordered by Im a.
+    roots on their coupling a^2 (a and -a are one singularity) and keeps
+    those whose integrated |M22| is below SINGULARITY_EPS.  Deterministic
+    ordering by (Re a, Im a), with Re a rounded to 12 decimals so that roots
+    on the imaginary axis, whose real parts are rounding noise, are ordered
+    by Im a.
     """
     m = as_integer("m", m, 1)
-    gamma = _finite_gamma(gamma)
-    n = round(gamma)
-    integer = abs(gamma - n) < INTEGER_SNAP_EPS
-
-    g = float(n) if integer else gamma
+    g = _order(gamma)
     try:
-        condition = _condition(g, m, integer)
+        condition = _condition(g, m)
     except NoSolutionError:
         return []
 
-    seen: list[complex] = []
+    seen: list[complex] = []  # couplings a^2
     solutions: list[SingularitySolution] = []
     n_re, n_im = grid
     for i in range(n_re):
@@ -308,9 +304,10 @@ def scan_singularities(gamma: float, m: int,
             if abs(sol.a_frak) < 1e-8:
                 continue
             # Rejected roots count as seen too, so none is validated twice.
-            if any(abs(sol.a_frak - a) < DEDUP_TOL for a in seen):
+            coupling = sol.a_frak * sol.a_frak
+            if any(abs(coupling - c) < DEDUP_TOL for c in seen):
                 continue
-            seen.append(sol.a_frak)
+            seen.append(coupling)
             # Written so that a NaN |M22| counts as not validated.
             if not validate_root_ode(sol) < SINGULARITY_EPS:
                 continue

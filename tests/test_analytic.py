@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_spec
 from scatter1d.analytic import (amplitudes_analytic, amplitudes_perturbative,
@@ -36,10 +39,15 @@ class TestBoundaryValues:
         assert abs(bv.s0_L - s0) < 1e-8
         assert abs(bv.s1_L - s1) < 1e-8
 
-    def test_rejects_integer_gamma(self):
+    def test_integer_gamma_matches_direct_evolution(self):
+        # the limit mu -> (-1)^(n+1) m carries the same closed form to gamma = n
         spec = make_spec(0.5, m=1)
-        with pytest.raises(DomainError):
-            boundary_values(wave_context(spec, 2.0 * spec.k0))
+        for n in (1, 2, 3):
+            k = n * spec.k0
+            bv = boundary_values(wave_context(spec, k))
+            s0, s1 = s_boundary(SampledPotential.from_spec(spec), k)
+            assert abs(bv.s0_L - s0) < 1e-10
+            assert abs(bv.s1_L - s1) < 1e-10
 
 
 class TestAmplitudes:
@@ -124,6 +132,79 @@ class TestAmplitudes:
         spec = make_spec(sol.a_frak, m=100)
         with pytest.raises(SpectralSingularityError):
             amplitudes_analytic(wave_context(spec, spec.k0))
+
+
+def closed_form_mp(gamma, a: complex, m: int):
+    """(R^l, R^r, T, |D|/(2 gamma)) at 40 digits, gamma an mpf (integer allowed)."""
+    with mp.workdps(40):
+        a = mp.mpc(a)
+        if gamma == mp.nint(gamma):
+            mu = mp.mpf((-1) ** (int(gamma) + 1) * m)
+        else:
+            mu = (1 - mp.expj(2 * mp.pi * m * gamma)) / (2j * mp.sin(mp.pi * gamma))
+        j_p, j_m, j_mm, j_pm = (mp.besselj(nu, a) for nu in
+                                (gamma + 1, 1 - gamma, -gamma - 1, gamma - 1))
+        c = 1j * mp.pi * a * a
+        den = 2 * gamma - c * mu * j_m * j_p
+        amps = (-c * mu * j_m * j_pm / den, -c * mp.conj(mu) * j_mm * j_p / den,
+                2 * gamma / den)
+        # cancellation in D amplifies rounding by this factor
+        cond = (2 * gamma + abs(c * mu * j_m * j_p)) / abs(den)
+        return amps, float(cond), float(abs(den) / (2 * gamma))
+
+
+class TestClosedFormAgainstMpmath:
+    """``amplitudes_analytic`` against the closed form at 40 digits.
+
+    The kinds of gamma: generic, exact integer n, n +- 1e-10 (snapped to n)
+    and j/m with j not a multiple of m (kL in pi Z, mu = 0).  The reference
+    takes generic gamma as the context holds it and the others at their
+    exact intended value.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["generic", "integer", "snapped", "mu_zero"]),
+           m=st.integers(min_value=1, max_value=8),
+           u=st.floats(min_value=0.0, max_value=1.0),
+           n=st.integers(min_value=1, max_value=5),
+           side=st.sampled_from([-1e-10, 1e-10]),
+           re=st.floats(min_value=-3.0, max_value=3.0),
+           im=st.floats(min_value=-3.0, max_value=3.0))
+    @example(kind="generic", m=5, u=(0.1013 - 0.05) / 4.95, n=1, side=1e-10,
+             re=2.756, im=-2.859)   # T ~ 1e-4: R^l must not go through T^2
+    def test_matches_mpmath(self, kind, m, u, n, side, re, im):
+        a = complex(re, im)
+        if abs(a) < 0.1:
+            return
+        if kind == "generic":
+            gamma = 0.05 + 4.95 * u
+        elif kind == "integer":
+            gamma = float(n)
+        elif kind == "snapped":
+            gamma = n + side
+        else:
+            if m == 1:
+                return
+            j = n * m + 1 + int(u * (m - 2))      # not a multiple of m
+            gamma = j / m
+        spec = make_spec(a, m)
+        ctx = wave_context(spec, gamma * spec.k0)
+        if kind == "generic":
+            exact = mp.mpf(ctx.gamma)
+        elif kind == "mu_zero":
+            exact = mp.mpf(j) / m
+            assert ctx.mu == 0
+        else:
+            exact = mp.mpf(n)
+            assert ctx.gamma == n and ctx.mu == (-1) ** (n + 1) * m
+        ref, cond, m22 = closed_form_mp(exact, ctx.a_frak, m)
+        try:
+            amps = amplitudes_analytic(ctx)
+        except SpectralSingularityError:
+            assert m22 < 2 * SINGULARITY_EPS
+            return
+        for got, want in zip((amps.r_left, amps.r_right, amps.t), ref):
+            assert abs(got - complex(want)) <= 1e-12 * cond * (1.0 + abs(complex(want)))
 
 
 class TestPoleThreshold:

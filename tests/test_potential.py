@@ -8,7 +8,7 @@ from conftest import make_spec
 from scatter1d.errors import DomainError
 from scatter1d.potential import (PotentialSpec, evaluate_potential,
                                  from_permittivity, mu_factor, permittivity,
-                                 wave_context)
+                                 snap_gamma, wave_context)
 from scatter1d.shooting import shooting_amplitudes
 from scatter1d.transfer import SampledPotential, s_boundary, transfer_matrix
 
@@ -83,9 +83,22 @@ class TestMu:
         k = 2.0062 * spec.k0
         assert abs(k * spec.L - 1531.547) < 1e-3
 
-    def test_mu_factor_rejects_integer(self):
-        with pytest.raises(DomainError):
-            mu_factor(2.0, 3)
+    def test_mu_factor_integer_limit(self):
+        # the 0/0 form at gamma = n is replaced by its limit (-1)^(n+1) m,
+        # also within INTEGER_SNAP_EPS of n
+        for n, m in [(1, 1), (1, 5), (2, 3), (3, 2), (4, 7)]:
+            limit = (-1) ** (n + 1) * m
+            for gamma in (float(n), n - 1e-10, n + 1e-10):
+                assert mu_factor(gamma, m) == limit
+            assert abs(mu_factor(n + 1e-7, m) - limit) < 1e-5 * m
+
+    def test_snap_gamma(self):
+        assert snap_gamma(2.0 + 5e-10) == 2.0 and snap_gamma(3 - 5e-10) == 3.0
+        assert snap_gamma(2.0 + 2e-9) == 2.0 + 2e-9
+        assert snap_gamma(0.5) == 0.5
+        for gamma in (0.0, 5e-10, -5e-10):
+            with pytest.raises(DomainError, match="snapped to 0"):
+                snap_gamma(gamma)
 
     def test_half_integer_odd_m(self):
         assert mu_factor(0.5, 1) == pytest.approx(-1j)

@@ -30,11 +30,11 @@ def denominator(sol):
 
 
 class TestCondition:
-    CASES = [(1.0, 100, True), (3.0, 7, True), (0.8, 3, False), (2.5, 1, False)]
+    CASES = [(1.0, 100), (3.0, 7), (0.8, 3), (2.5, 1)]
 
-    @pytest.mark.parametrize("gamma,m,integer", CASES)
-    def test_one_evaluation_is_four_bessel_calls(self, monkeypatch, gamma, m, integer):
-        f_df, _ = singularity._condition(gamma, m, integer)
+    @pytest.mark.parametrize("gamma,m", CASES)
+    def test_one_evaluation_is_four_bessel_calls(self, monkeypatch, gamma, m):
+        f_df, _ = singularity._condition(gamma, m)
         orders = []
         jv = bessel._jv
 
@@ -46,9 +46,9 @@ class TestCondition:
         f_df(0.7 + 0.4j)
         assert len(orders) == 4
 
-    @pytest.mark.parametrize("gamma,m,integer", CASES)
-    def test_derivative_matches_central_difference(self, gamma, m, integer):
-        f_df, _ = singularity._condition(gamma, m, integer)
+    @pytest.mark.parametrize("gamma,m", CASES)
+    def test_derivative_matches_central_difference(self, gamma, m):
+        f_df, _ = singularity._condition(gamma, m)
         a, h = 0.7 + 0.4j, 1e-6
         fd = (f_df(a + h)[0] - f_df(a - h)[0]) / (2 * h)
         assert abs(f_df(a)[1] - fd) <= 1e-7 * abs(fd)
@@ -153,9 +153,14 @@ class TestGeneralGamma:
         with pytest.raises(NoSolutionError):
             solve_general(0.5, 2, seed=1j)
 
-    def test_integer_gamma_redirected(self):
-        with pytest.raises(DomainError):
-            solve_general(2.0, 10, seed=0.5)
+    def test_integer_gamma_seeded_at_the_integer_root(self):
+        # one condition for every gamma: at gamma = n the general solver
+        # keeps the root of a^2 J_{n-1} J_{n+1} = -2in/(pi m)
+        for n, m in [(1, 100), (2, 10), (3, 10), (4, 7)]:
+            ref = solve_integer_gamma(n, m)
+            sol = solve_general(float(n), m, seed=ref.a_frak)
+            assert abs(sol.a_frak - ref.a_frak) <= 1e-12 * abs(ref.a_frak)
+            assert sol.gamma == n and sol.residual < 1e-10
 
     def test_half_integer_odd_m_root_is_ode_validated(self):
         sol = solve_general(0.5, 1, seed=1.0j)
@@ -223,15 +228,22 @@ class TestHalfIntegerPrintedForm:
         got = half_integer_residual(p, a) + (-1) ** p * (2 * p + 1)
         assert abs(got - lhs) <= 1e-12 * abs(lhs)
 
-    @pytest.mark.parametrize("p", [4, 8])
+    @pytest.mark.parametrize("p", [4, 8, 18, 20])
     def test_higher_orders_solve_the_printed_form(self, p):
         # an upward spherical Bessel recurrence loses every digit near a = 0
-        # at these orders; check the root against mpmath's J_{p+3/2} J_{1/2-p}
+        # at these orders, and the roots of p = 18 and 20 (12.7411i and
+        # 14.0664i) lie beyond |a| = 12; check the root against mpmath's
+        # J_{p+3/2} J_{1/2-p}
         sol = solve_half_integer(p, 1)
         assert sol.eps0.imag == 0.0 and sol.eps0.real > 1.0
         a = mp.mpc(sol.a_frak)
         lhs = 2 * mp.pi * a ** 2 * mp.besselj(p + 1.5, a) * mp.besselj(0.5 - p, a)
         assert abs(complex(lhs) - (-1) ** p * (2 * p + 1)) < 1e-10
+
+    @pytest.mark.parametrize("p", [1, 19])
+    def test_odd_orders_have_no_real_root(self, p):
+        with pytest.raises(NoSolutionError):
+            solve_half_integer(p, 1)
 
     def test_residual_at_zero_is_its_limit(self):
         assert half_integer_residual(0, 0) == -1.0
@@ -285,8 +297,9 @@ class TestScan:
             assert validate_root_ode(sol) < SINGULARITY_EPS
 
     def test_imaginary_pair_ordered_by_imaginary_part(self, monkeypatch):
-        # roots +-0.8589i whose real parts are rounding noise of either sign
-        noisy = [complex(-1e-17, 0.858895), complex(2e-17, -0.858895),
+        # two roots on the imaginary axis whose real parts are rounding noise
+        # of either sign (+-ib would be one singularity, see below)
+        noisy = [complex(-1e-17, 1.2), complex(2e-17, -0.858895),
                  complex(0.954906, 0.0)]
         seeds = iter(noisy)
 
@@ -300,6 +313,15 @@ class TestScan:
         monkeypatch.setattr(singularity, "validate_root_ode", lambda sol: 0.0)
         sols = scan_singularities(0.3, 5)
         assert [s.a_frak for s in sols] == [noisy[1], noisy[0], noisy[2]]
+
+    @pytest.mark.parametrize("gamma,m,a_ref", [(0.3, 5, 0.858895j), (0.5, 1, 1.032669j)])
+    def test_each_singularity_reported_once(self, gamma, m, a_ref):
+        # the condition is even in a: a root and its negative share the
+        # coupling a^2 and are one singularity, whatever their rounding noise
+        couplings = [s.a_frak ** 2 for s in scan_singularities(gamma, m)]
+        assert sum(abs(c - a_ref ** 2) < 1e-5 for c in couplings) == 1
+        for i, c in enumerate(couplings):
+            assert all(abs(c - d) >= singularity.DEDUP_TOL for d in couplings[:i])
 
     def test_free_configuration_is_not_singular(self):
         # the zero-coupling slab transmits perfectly: M22 = 1 at any k
