@@ -135,7 +135,10 @@ class TestAmplitudes:
 
 
 def closed_form_mp(gamma, a: complex, m: int):
-    """(R^l, R^r, T, |D|/(2 gamma)) at 40 digits, gamma an mpf (integer allowed)."""
+    """((R^l, R^r, T), cancellation factor of D, |D|/(2 gamma)) at 40 digits.
+
+    ``gamma`` is an mpf; at an integer value mu takes its limit.
+    """
     with mp.workdps(40):
         a = mp.mpc(a)
         if gamma == mp.nint(gamma):
@@ -148,7 +151,6 @@ def closed_form_mp(gamma, a: complex, m: int):
         den = 2 * gamma - c * mu * j_m * j_p
         amps = (-c * mu * j_m * j_pm / den, -c * mp.conj(mu) * j_mm * j_p / den,
                 2 * gamma / den)
-        # cancellation in D amplifies rounding by this factor
         cond = (2 * gamma + abs(c * mu * j_m * j_p)) / abs(den)
         return amps, float(cond), float(abs(den) / (2 * gamma))
 
