@@ -35,10 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import bessel_j
+import numpy as np
+
+from .bessel import bessel_j, bessel_j_array
 from .errors import DegenerateDenominatorError, DomainError
 from .potential import WaveContext
-from .transfer import ScatteringAmplitudes, _refuse_pole
+from .transfer import SINGULARITY_EPS, ScatteringAmplitudes, _refuse_pole
 
 _PI = math.pi
 
@@ -64,6 +66,22 @@ def boundary_values(ctx: WaveContext) -> BoundaryValues:
     return BoundaryValues(s0_L=s0, s1_L=s1)
 
 
+def _denominator(g, a, mu, j_m, j_p):
+    """(c, D) with c = i pi a^2 and D = 2 gamma - c mu J_{1-gamma} J_{gamma+1}.
+
+    Python numbers and arrays of them alike, as is :func:`_amplitudes`.
+    """
+    c = 1j * _PI * (a * a)
+    return c, 2.0 * g - c * mu * j_m * j_p
+
+
+def _amplitudes(g, c, mu, den, j_p, j_m, j_mm, j_pm):
+    """(R^l, R^r, T) over the denominator D of :func:`_denominator`."""
+    r_left = -c * mu * j_m * j_pm / den
+    r_right = -c * mu.conjugate() * j_mm * j_p / den
+    return r_left, r_right, 2.0 * g / den
+
+
 def amplitudes_analytic(ctx: WaveContext) -> ScatteringAmplitudes:
     """Exact (R_left, R_right, T) plus R^r of the conjugate potential.
 
@@ -77,22 +95,55 @@ def amplitudes_analytic(ctx: WaveContext) -> ScatteringAmplitudes:
         return ScatteringAmplitudes(r_left=complex(0.0), r_right=complex(0.0),
                                     t=complex(1.0), r_right_conj_potential=complex(0.0))
     a = ctx.a_frak
-    a2 = a * a
     g = ctx.gamma
     j_p = bessel_j(g + 1.0, a)
     j_m = bessel_j(-g + 1.0, a)
     j_mm = bessel_j(-g - 1.0, a)
     j_pm = bessel_j(g - 1.0, a)
-    c = 1j * _PI * a2
-    den = 2.0 * g - c * mu * j_m * j_p
+    c, den = _denominator(g, a, mu, j_m, j_p)
     _refuse_pole(abs(den) / (2.0 * g))
-    r_right = -c * mu.conjugate() * j_mm * j_p / den
-    t = 2.0 * g / den
-    left = c * mu * j_m * j_pm
-    r_left = -left / den
-    rr_conj_star = left / (2.0 * g + c * mu.conjugate() * j_m * j_p)
+    r_left, r_right, t = _amplitudes(g, c, mu, den, j_p, j_m, j_mm, j_pm)
+    rr_conj_star = c * mu * j_m * j_pm / (2.0 * g + c * mu.conjugate() * j_m * j_p)
     return ScatteringAmplitudes(r_left=r_left, r_right=r_right, t=t,
                                 r_right_conj_potential=rr_conj_star.conjugate())
+
+
+def amplitudes_analytic_array(coupling, gamma, a, mu):
+    """:func:`amplitudes_analytic` over broadcast arrays of context fields.
+
+    ``coupling``, ``gamma``, ``a`` and ``mu`` are what ``wave_context``
+    would put into ``spec.coupling``, ``gamma``, ``a_frak`` and ``mu``.
+    Returns (R^l, R^r, T, refused) and raises nothing.  ``refused`` marks
+    each element where ``amplitudes_analytic`` raises (a Bessel refusal or
+    a pole) and each element whose array J is not finite, where
+    ``bessel_j`` may still reach a value: evaluate those through
+    ``amplitudes_analytic``.  The amplitudes are unspecified there, and
+    equal to its amplitudes bit for bit everywhere else.
+    """
+    coupling, g, a, mu = np.broadcast_arrays(np.asarray(coupling, dtype=complex),
+                                             np.asarray(gamma, dtype=float),
+                                             np.asarray(a, dtype=complex),
+                                             np.asarray(mu, dtype=complex))
+    free = (coupling == 0) | (mu == 0)
+    (j_p, bad_p), (j_m, bad_m), (j_mm, bad_mm), (j_pm, bad_pm) = (
+        bessel_j_array(nu, a) for nu in (g + 1.0, -g + 1.0, -g - 1.0, g - 1.0))
+    # Object arrays of Python floats and complex numbers, so that each
+    # element goes through the very arithmetic of amplitudes_analytic.
+    # NumPy's complex products and quotients round differently, and
+    # |T - 1| = |2 gamma/D - 1| would magnify that by 1/|T - 1|.
+    g_o, a_o, mu_o, j_p, j_m, j_mm, j_pm = (
+        x.astype(object) for x in (g, a, mu, j_p, j_m, j_mm, j_pm))
+    c, den = _denominator(g_o, a_o, mu_o, j_m, j_p)
+    den = den.astype(complex)
+    with np.errstate(all="ignore"):
+        pole = np.hypot(den.real, den.imag) / (2.0 * g) < SINGULARITY_EPS
+    den[den == 0] = np.nan  # a pole; Python's complex division would raise
+    r_left, r_right, t = (x.astype(complex) for x in _amplitudes(
+        g_o, c, mu_o, den.astype(object), j_p, j_m, j_mm, j_pm))
+    r_left[free] = r_right[free] = 0.0
+    t[free] = 1.0
+    refused = ~free & (bad_p | bad_m | bad_mm | bad_pm | pole)
+    return r_left, r_right, t, refused
 
 
 def amplitudes_perturbative(ctx: WaveContext) -> ScatteringAmplitudes:

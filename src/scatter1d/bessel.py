@@ -24,6 +24,10 @@ Wrapper rules
   J_{nu+2}; a value still not finite raises :class:`DomainError` naming
   nu and w.
 
+:func:`bessel_j_array` applies the same rules to arrays, with one
+``scipy.special.jv`` call per branch.  It marks what ``bessel_j`` would
+refuse instead of raising.
+
 Derivatives use the standard identity ``J'_nu(w) = J_{nu-1}(w) -
 (nu/w) J_nu(w)``.  (A variant with a stray factor of ``w`` on the first
 term circulates in some references; it is not an identity and is
@@ -50,6 +54,9 @@ W_MAX = 60.0
 
 #: Largest |nu| accepted.
 NU_MAX = 30.0
+
+#: Relative tolerance of :func:`bessel_j` unless the caller asks for another.
+DEFAULT_TOL = 1e-10
 
 #: Function-value bound accepted for a refined zero.
 TOL_ZERO = 1e-10
@@ -110,6 +117,13 @@ def relative_floor(w: complex) -> float:
     return _EPS * 0.2 * math.exp(min(loss, 80.0))
 
 
+def _relative_floor_array(w: np.ndarray) -> np.ndarray:
+    """:func:`relative_floor` of each element of ``w``."""
+    wmag, im = np.hypot(w.real, w.imag), np.abs(w.imag)
+    loss = np.where(wmag - im <= 12.0, np.maximum(0.0, wmag - im), im)
+    return _EPS * 0.2 * np.exp(np.minimum(loss, 80.0))
+
+
 def _jv(nu: float, w: complex) -> complex:
     """``scipy.special.jv`` with the side of the cut set by the sign of Im w."""
     if w.imag == 0.0 and w.real > 0.0:
@@ -119,7 +133,7 @@ def _jv(nu: float, w: complex) -> complex:
     return complex(jv(nu, w))
 
 
-def bessel_j(nu: float, w: complex, tol: float = 1e-10) -> complex:
+def bessel_j(nu: float, w: complex, tol: float = DEFAULT_TOL) -> complex:
     """J_nu(w) for real ``nu`` and complex ``w``, from ``scipy.special.jv``.
 
     Relative error <= ``tol`` wherever |J_nu(w)| is not dominated by
@@ -159,6 +173,36 @@ def bessel_j(nu: float, w: complex, tol: float = 1e-10) -> complex:
     if not math.isfinite(math.hypot(val.real, val.imag)):
         raise DomainError(f"J_nu(w) at nu={nu!r}, w={w!r} lies outside double range")
     return val
+
+
+def bessel_j_array(nu: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bessel_j` at ``DEFAULT_TOL`` elementwise over broadcast arrays.
+
+    Returns (J, refused) and raises nothing.  ``refused`` marks each
+    element where ``bessel_j`` raises, and each element whose J is not
+    finite here, where ``bessel_j`` may still reach a value by its
+    recurrence step: evaluate those through ``bessel_j``.  J is
+    unspecified there.  Every other element equals ``bessel_j``'s value
+    bit for bit, because the same cut rules pick the same
+    ``scipy.special.jv`` call (see the module docstring).
+    """
+    nu, w = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(w, dtype=complex))
+    out = np.empty(w.shape, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        real = (w.imag == 0.0) & (w.real > 0.0)
+        lower = np.signbit(w.imag) & ~real
+        upper = ~(real | lower)
+        out[real] = jv(nu[real], w.real[real])
+        out[lower] = jv(nu[lower], w[lower].conj()).conj()
+        out[upper] = jv(nu[upper], w[upper])
+        at_zero = w == 0
+        out[at_zero] = np.where(nu[at_zero] == 0.0, 1.0, 0.0)
+        refused = (~(np.isfinite(nu) & np.isfinite(w)) | (np.abs(nu) > NU_MAX)
+                   | (np.hypot(w.real, w.imag) > W_MAX)
+                   | (at_zero & (nu < 0.0) & (nu != np.floor(nu)))
+                   | (~at_zero & (DEFAULT_TOL < _relative_floor_array(w)))
+                   | ~np.isfinite(out))
+    return out, refused
 
 
 def bessel_j_derivative(nu: float, w: complex) -> complex:

@@ -32,12 +32,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import amplitudes_analytic
+from .analytic import amplitudes_analytic, amplitudes_analytic_array
 from .bessel import bessel_j, imaginary_zeros, in_hurwitz_band, real_zeros
 from .errors import (DomainError, NoSolutionError, Scatter1dError,
                      SpectralSingularityError)
 from .potential import (PotentialSpec, WaveContext, from_permittivity,
-                        wave_context)
+                        mu_factor_array, snap_gamma_array, wave_context)
 
 #: Amplitude magnitude below which a channel counts as extinguished.
 VERDICT_EPS_ANALYTIC = 1e-9
@@ -97,11 +97,10 @@ class SweepData:
     def csv_text(self) -> str:
         """RFC 4180 text: CRLF line endings and 17 significant digits, so the
         file round-trips doubles exactly and reruns are byte-identical."""
-        lines = [",".join(SWEEP_CSV_HEADER)]
-        for row in zip(self.lambda_nm, self.abs_r_left,
-                       self.abs_r_right, self.abs_t_minus_1):
-            lines.append(",".join(format(float(v), ".17g") for v in row))
-        return "\r\n".join(lines) + "\r\n"
+        values = np.column_stack((self.lambda_nm, self.abs_r_left,
+                                  self.abs_r_right, self.abs_t_minus_1))
+        rows = ("%.17g,%.17g,%.17g,%.17g\r\n" * len(values)) % tuple(values.ravel().tolist())
+        return ",".join(SWEEP_CSV_HEADER) + "\r\n" + rows
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -234,25 +233,44 @@ def wavelength_sweep(eps0: complex, m: int, L_um: float,
 
     With ``coupling`` given, the coupling is held fixed instead of the
     permittivity (eps0 is then ignored).
+
+    The grid runs in one array pass of the closed form
+    (:func:`scatter1d.analytic.amplitudes_analytic_array`), and each row
+    equals ``amplitudes_analytic(wave_context(spec, k))`` bit for bit.
+    The sweep refuses exactly what that scalar path refuses: the samples
+    the array pass flags, and those whose array J is not finite, go
+    through the scalar path in order, so the first refused wavelength
+    raises its error, prefixed ``lambda = ... nm:``.
     """
     lambdas_nm = np.asarray(lambdas_nm, dtype=float)
+    fixed = PotentialSpec(coupling=0.0 if coupling is None else coupling, m=m, L=L_um)
+    with np.errstate(all="ignore"):
+        k = 2000.0 * math.pi / lambdas_nm  # rad per micrometer
+        z = fixed.coupling if coupling is not None else k * k * (1.0 - complex(eps0))
+        gamma = snap_gamma_array(k * fixed.L / (math.pi * fixed.m))
+        # sqrt(z)/k0 part by part, as Python divides a complex by a float
+        root = np.sqrt(np.asarray(z, dtype=complex))
+        a = root.real / fixed.k0 + 1j * (root.imag / fixed.k0)
+        r_left, r_right, t, refused = amplitudes_analytic_array(
+            z, gamma, a, mu_factor_array(gamma, fixed.m))
+        rows = np.column_stack([np.hypot(v.real, v.imag) for v in (r_left, r_right, t - 1.0)])
+    refused |= ~((k > 0.0) & np.isfinite(k)) | (gamma == 0.0) | ~np.isfinite(rows).all(axis=1)
+    for i in np.flatnonzero(refused):
+        rows[i] = _scalar_sample(eps0, coupling, fixed, float(k[i]), float(lambdas_nm[i]))
+    return SweepData(lambda_nm=lambdas_nm.copy(), abs_r_left=rows[:, 0],
+                     abs_r_right=rows[:, 1], abs_t_minus_1=rows[:, 2])
 
-    def one(lam_nm: float) -> tuple[float, float, float]:
-        k = 2000.0 * math.pi / lam_nm  # rad per micrometer
-        if coupling is not None:
-            spec = PotentialSpec(coupling=coupling, m=m, L=L_um)
-        else:
-            spec = from_permittivity(eps0, k, m, L_um)
-        try:
-            amps = amplitudes_analytic(wave_context(spec, k))
-        except Scatter1dError as exc:
-            exc.args = (f"lambda = {lam_nm:.6f} nm: {exc.args[0]}",) + exc.args[1:]
-            raise
-        return abs(amps.r_left), abs(amps.r_right), abs(amps.t - 1.0)
 
-    arr = np.asarray([one(lam) for lam in lambdas_nm], dtype=float).reshape(-1, 3)
-    return SweepData(lambda_nm=lambdas_nm.copy(), abs_r_left=arr[:, 0],
-                     abs_r_right=arr[:, 1], abs_t_minus_1=arr[:, 2])
+def _scalar_sample(eps0: complex, coupling: Optional[complex], fixed: PotentialSpec,
+                   k: float, lam_nm: float) -> tuple[float, float, float]:
+    """One sweep row through ``amplitudes_analytic``; errors name ``lam_nm``."""
+    try:
+        spec = fixed if coupling is not None else from_permittivity(eps0, k, fixed.m, fixed.L)
+        amps = amplitudes_analytic(wave_context(spec, k))
+    except Scatter1dError as exc:
+        exc.args = (f"lambda = {lam_nm:.6f} nm: {exc.args[0]}",) + exc.args[1:]
+        raise
+    return abs(amps.r_left), abs(amps.r_right), abs(amps.t - 1.0)
 
 
 def fig1_sweep(lambda_min_nm: float = 1050.0, lambda_max_nm: float = 1080.0,

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
 
 #: |gamma - round(gamma)| below which gamma is declared integer: it is
@@ -156,6 +158,40 @@ def mu_factor(gamma: float, m: int) -> complex:
     numerator = complex(2.0 * sp * sp, -math.sin(2.0 * math.pi * eta))
     denominator = 2j * ((-1) ** (n & 1)) * math.sin(math.pi * delta)
     return numerator / denominator
+
+
+def snap_gamma_array(gamma: np.ndarray) -> np.ndarray:
+    """:func:`snap_gamma` elementwise, without raising.
+
+    An element that snaps to 0 comes back as 0.0: those are the elements
+    where ``snap_gamma`` raises, and the caller refuses them.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    n = np.rint(gamma)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.abs(gamma - n) < INTEGER_SNAP_EPS, n, gamma)
+
+
+def mu_factor_array(gamma: np.ndarray, m: int) -> np.ndarray:
+    """:func:`mu_factor` elementwise, through the same reductions.
+
+    The integer limit (-1)^(n+1) m and the exact zeros at m gamma in Z are
+    masks.  Each element equals ``mu_factor`` of it bit for bit: the
+    quotient by the purely imaginary 2i sin(pi delta) is taken part by
+    part, as complex division reduces it.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n = np.rint(gamma)
+        delta = gamma - n
+        eta = m * gamma - np.rint(m * gamma)
+        sp = np.sin(np.pi * eta)
+        den = 2.0 * np.where(n % 2 == 0, 1.0, -1.0) * np.sin(np.pi * delta)
+        mu = -np.sin(2.0 * np.pi * eta) / den + 1j * (-(2.0 * sp * sp) / den)
+        mu[np.abs(eta) < INTEGER_SNAP_EPS] = 0.0
+        integer = np.abs(delta) < INTEGER_SNAP_EPS
+    mu[integer] = np.where(n[integer] % 2 == 0, -m, m)
+    return mu
 
 
 def wave_context(spec: PotentialSpec, k: float) -> WaveContext:

@@ -159,15 +159,17 @@ def _solve_from_seed(condition: _Condition, gamma: float, m: int,
 
 
 def _order(gamma: float) -> float:
-    """Finite ``gamma`` after :func:`snap_gamma`: the Bessel order."""
+    """Finite positive ``gamma`` after :func:`snap_gamma`: the Bessel order."""
     g = float(gamma)
     if not math.isfinite(g):
         raise DomainError(f"gamma must be finite, got {gamma!r}")
+    if not g > 0.0:
+        raise DomainError(f"gamma must be positive, got {gamma!r}")
     return snap_gamma(g)
 
 
 def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
-    """Newton solve of the full singularity condition from ``seed``, at any gamma."""
+    """Newton solve of the full singularity condition from ``seed``, at any gamma > 0."""
     m = as_integer("m", m, 1)
     g = _order(gamma)
     return _solve_from_seed(_condition(g, m), g, m, seed)

@@ -4,16 +4,18 @@ import random
 import types
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatter1d import bessel
 from scatter1d.bessel import (TOL_ZERO, W_MAX, ZeroKind, bessel_j,
-                              bessel_j_derivative,
+                              bessel_j_array, bessel_j_derivative,
                               identity_residuals, imaginary_zeros,
                               in_hurwitz_band, real_zeros, relative_floor)
-from scatter1d.errors import AccuracyError, ConvergenceError, DomainError
+from scatter1d.errors import (AccuracyError, ConvergenceError, DomainError,
+                              Scatter1dError)
 
 mp.mp.dps = 40
 
@@ -129,6 +131,37 @@ class TestContract:
         ref = mp_j(-29.5, w)
         assert abs(ref) > 1e305
         assert abs(bessel_j(-29.5, w) - ref) <= 1e-13 * abs(ref)
+
+
+class TestArrayForm:
+    # Both sides of the cut, the real branch, the origin, and one point per
+    # refusal: |nu|, |w|, J_nu(0) at negative non-integer nu, the floor,
+    # non-finite input, AMOS overflow that the recurrence recovers and
+    # overflow that it does not
+    POINTS = [(2.3, 1.7), (2.3, -1.7), (-1.4, complex(-2.0, 0.0)),
+              (-1.4, complex(-2.0, -0.0)), (0.6, 0.9 + 1.2j), (0.6, 0.9 - 1.2j),
+              (-2.5, 3j), (-2.5, -3j), (0.0, 0j), (2.0, 0j), (-2.0, 0j), (-2.5, 0j),
+              (31.0, 1.0), (1.0, 61.0), (0.5, 30 + 16j), (math.nan, 1.0),
+              (1.0, complex(math.inf, 0.0)), (-29.5, 8.26e-10j), (-29.5, 1e-12)]
+
+    def test_matches_bessel_j(self):
+        nu, w = zip(*self.POINTS)
+        values, refused = bessel_j_array(np.array(nu), np.array(w, dtype=complex))
+        for point, value, refuse in zip(self.POINTS, values.tolist(), refused):
+            try:
+                expected = bessel_j(*point)
+            except Scatter1dError:
+                assert refuse, point
+                continue
+            if refuse:  # only where AMOS overflows and bessel_j recurs
+                assert not cmath.isfinite(value), point
+            else:
+                assert value == expected, point
+
+    def test_refuses_where_relative_floor_exceeds_the_default_tolerance(self):
+        w = np.array([30 + 16j, 30 + 14j])
+        assert [relative_floor(x) > bessel.DEFAULT_TOL for x in w.tolist()] == [True, False]
+        assert bessel_j_array(0.5, w)[1].tolist() == [True, False]
 
 
 class TestDerivative:

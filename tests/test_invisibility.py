@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_spec
 from scatter1d import invisibility
 from scatter1d.analytic import amplitudes_analytic
-from scatter1d.bessel import bessel_j, real_zeros
-from scatter1d.errors import DomainError, NoSolutionError
+from scatter1d.bessel import bessel_j, bessel_j_array, real_zeros
+from scatter1d.errors import DomainError, NoSolutionError, Scatter1dError
 from scatter1d.invisibility import (Mechanism, SWEEP_CSV_HEADER, VerdictKind,
                                     classify, design_unidirectional,
                                     fig1_design_point,
                                     fig1_design_wavelength_nm, fig1_sweep,
                                     wavelength_sweep)
-from scatter1d.potential import PotentialSpec, wave_context
+from scatter1d.potential import PotentialSpec, from_permittivity, wave_context
 
 
 class TestClassify:
@@ -261,3 +263,88 @@ class TestSweep:
         # 17 significant digits round-trip the doubles exactly
         first = lines[1].decode().split(",")
         assert float(first[1]) == data.abs_r_left[0]
+
+
+def scalar_row(eps0, coupling, m, L, lam):
+    """One sweep row the scalar way: spec, wave_context, amplitudes_analytic."""
+    k = 2000.0 * math.pi / float(lam)
+    spec = (PotentialSpec(coupling, m, L) if coupling is not None
+            else from_permittivity(eps0, k, m, L))
+    amps = amplitudes_analytic(wave_context(spec, k))
+    return abs(amps.r_left), abs(amps.r_right), abs(amps.t - 1.0)
+
+
+def sweep_rows(data):
+    return np.column_stack((data.abs_r_left, data.abs_r_right, data.abs_t_minus_1))
+
+
+class TestSweepArrayPass:
+    """``wavelength_sweep``'s array pass against the scalar path, sample by sample.
+
+    Slabs hold eps0 fixed (a = gamma s), or the coupling fixed at a = s or
+    at real positive a (the real ``jv`` branch).  The kinds of gamma:
+    generic, exact integer n, n +- 1e-10 (snapped to n) and j/m with j not
+    a multiple of m (kL in pi Z, mu = 0).  L = pi, so k0 = m.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(slab=st.sampled_from(["eps0", "coupling", "real_a"]),
+           m=st.integers(min_value=1, max_value=8),
+           re=st.floats(min_value=-3.0, max_value=3.0),
+           im=st.floats(min_value=-3.0, max_value=3.0),
+           points=st.lists(st.tuples(
+               st.sampled_from(["generic", "integer", "snapped", "mu_zero"]),
+               st.floats(min_value=0.0, max_value=1.0),
+               st.integers(min_value=1, max_value=5),
+               st.sampled_from([-1e-10, 1e-10])), min_size=1, max_size=6))
+    def test_matches_scalar_path(self, slab, m, re, im, points):
+        s = complex(re, im)
+        if abs(s) < 0.1:
+            return
+        gammas = []
+        for kind, u, n, side in points:
+            if kind == "integer":
+                gammas.append(float(n))
+            elif kind == "snapped":
+                gammas.append(n + side)
+            elif kind == "mu_zero" and m > 1:
+                gammas.append((n * m + 1 + int(u * (m - 2))) / m)
+            else:
+                gammas.append(0.05 + 4.95 * u)
+        lambdas = 2000.0 * math.pi / (np.array(gammas) * m)
+        eps0, coupling = {"eps0": (1.0 - s * s, None),
+                          "coupling": (0.0, (s * m) ** 2),
+                          "real_a": (0.0, (abs(s) * m) ** 2)}[slab]
+        expected = []
+        for lam in lambdas:
+            try:
+                expected.append(scalar_row(eps0, coupling, m, math.pi, lam))
+            except Scatter1dError as exc:
+                with pytest.raises(type(exc)) as info:
+                    wavelength_sweep(eps0, m, math.pi, lambdas, coupling=coupling)
+                assert str(info.value) == f"lambda = {lam:.6f} nm: {exc}"
+                return
+        got = sweep_rows(wavelength_sweep(eps0, m, math.pi, lambdas, coupling=coupling))
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.array(expected) + 1e-300)
+
+    def test_first_failing_wavelength_is_named(self):
+        point = fig1_design_point()
+        with pytest.raises(DomainError, match=r"^lambda = -5\.000000 nm: k must be positive"):
+            wavelength_sweep(point.eps0, 243, 260.0, np.array([1060.0, -5.0, -7.0]))
+
+    def test_fixed_coupling_beyond_w_max_names_its_first_wavelength(self):
+        # a = 61 on a two-cell slab (k0 = 2); gamma = 3/2 has mu = 0 and is
+        # not refused, gamma = 1.45 and 1.4 are
+        lambdas = 2000.0 * math.pi / np.array([3.0, 2.9, 2.8])
+        with pytest.raises(DomainError, match=r"^lambda = 2166\.615623 nm: \|w\|=61 exceeds"):
+            wavelength_sweep(0.0, 2, math.pi, lambdas, coupling=122.0 ** 2)
+
+    def test_overflowing_array_j_takes_the_recurrence(self):
+        # At gamma = 28.5 and a = 1e-9 (1 + 1e-9 i), J_{-29.5} passes AMOS's
+        # overflow bound; bessel_j reaches it one recurrence step down
+        a = complex(1e-9, 1e-18)
+        assert bessel_j_array(-29.5, a)[1]
+        lambdas = 2000.0 * math.pi / np.array([28.5, 3.3])
+        got = sweep_rows(wavelength_sweep(0.0, 1, math.pi, lambdas, coupling=a * a))
+        expected = [scalar_row(0.0, a * a, 1, math.pi, lam) for lam in lambdas]
+        assert np.all(np.isfinite(got)) and np.array_equal(got, expected)

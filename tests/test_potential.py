@@ -7,8 +7,9 @@ import pytest
 from conftest import make_spec
 from scatter1d.errors import DomainError
 from scatter1d.potential import (PotentialSpec, evaluate_potential,
-                                 from_permittivity, mu_factor, permittivity,
-                                 snap_gamma, wave_context)
+                                 from_permittivity, mu_factor, mu_factor_array,
+                                 permittivity, snap_gamma, snap_gamma_array,
+                                 wave_context)
 from scatter1d.shooting import shooting_amplitudes
 from scatter1d.transfer import SampledPotential, s_boundary, transfer_matrix
 
@@ -99,6 +100,20 @@ class TestMu:
         for gamma in (0.0, 5e-10, -5e-10):
             with pytest.raises(DomainError, match="snapped to 0"):
                 snap_gamma(gamma)
+
+    def test_array_forms_match_scalar(self):
+        gammas = [0.3, 2.0, 2.0 + 5e-10, 3 - 5e-10, 2.0 + 2e-9, 1.5, 4 / 3, 2 / 3,
+                  0.5, 2.0062, 7.25, 1e-12, -5e-10]
+        snapped = snap_gamma_array(np.array(gammas))
+        for gamma, got in zip(gammas, snapped.tolist()):
+            try:
+                assert got == snap_gamma(gamma)
+            except DomainError:
+                assert got == 0.0
+        orders = snapped[snapped != 0.0]
+        for m in (1, 2, 3, 243):
+            expected = [mu_factor(g, m) for g in orders.tolist()]
+            assert mu_factor_array(orders, m).tolist() == expected
 
     def test_half_integer_odd_m(self):
         assert mu_factor(0.5, 1) == pytest.approx(-1j)

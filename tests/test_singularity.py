@@ -125,6 +125,17 @@ class TestGeneralGamma:
         with pytest.raises(DomainError, match=f"gamma must be finite, got {gamma!r}"):
             scan_singularities(gamma, 1)
 
+    @pytest.mark.parametrize("solve", [
+        lambda g: solve_general(g, 1, 0.5 + 0.5j),
+        lambda g: scan_singularities(g, 1),
+        lambda g: solve_integer_gamma(g, 1),
+    ], ids=["solve_general", "scan_singularities", "solve_integer_gamma"])
+    @pytest.mark.parametrize("gamma", [-0.7, -1, 0.0])
+    def test_non_positive_gamma_is_refused_up_front(self, solve, gamma):
+        with pytest.raises(DomainError,
+                           match=r"gamma must be positive|n must be an integer >= 1"):
+            solve(gamma)
+
     def test_condition_is_even_in_a(self):
         gamma, m = 0.8, 3
         rhs = 4 * gamma * math.sin(math.pi * gamma) \
