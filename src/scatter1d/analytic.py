@@ -67,19 +67,21 @@ def boundary_values(ctx: WaveContext) -> BoundaryValues:
 
 
 def _denominator(g, a, mu, j_m, j_p):
-    """(c, D) with c = i pi a^2 and D = 2 gamma - c mu J_{1-gamma} J_{gamma+1}.
+    """(c, P, D) with c = i pi a^2, P = c mu J_{1-gamma} J_{gamma+1}, D = 2 gamma - P.
 
-    Python numbers and arrays of them alike, as is :func:`_amplitudes`.
+    Python numbers and arrays of them alike, as is :func:`_reflections`.
+    T - 1 = P/D, free of the cancellation in 2 gamma/D - 1 where T is near 1.
     """
     c = 1j * _PI * (a * a)
-    return c, 2.0 * g - c * mu * j_m * j_p
+    product = c * mu * j_m * j_p
+    return c, product, 2.0 * g - product
 
 
-def _amplitudes(g, c, mu, den, j_p, j_m, j_mm, j_pm):
-    """(R^l, R^r, T) over the denominator D of :func:`_denominator`."""
+def _reflections(c, mu, den, j_p, j_m, j_mm, j_pm):
+    """(R^l, R^r) over the denominator D of :func:`_denominator`."""
     r_left = -c * mu * j_m * j_pm / den
     r_right = -c * mu.conjugate() * j_mm * j_p / den
-    return r_left, r_right, 2.0 * g / den
+    return r_left, r_right
 
 
 def amplitudes_analytic(ctx: WaveContext) -> ScatteringAmplitudes:
@@ -100,12 +102,13 @@ def amplitudes_analytic(ctx: WaveContext) -> ScatteringAmplitudes:
     j_m = bessel_j(-g + 1.0, a)
     j_mm = bessel_j(-g - 1.0, a)
     j_pm = bessel_j(g - 1.0, a)
-    c, den = _denominator(g, a, mu, j_m, j_p)
+    c, product, den = _denominator(g, a, mu, j_m, j_p)
     _refuse_pole(abs(den) / (2.0 * g))
-    r_left, r_right, t = _amplitudes(g, c, mu, den, j_p, j_m, j_mm, j_pm)
+    r_left, r_right = _reflections(c, mu, den, j_p, j_m, j_mm, j_pm)
     rr_conj_star = c * mu * j_m * j_pm / (2.0 * g + c * mu.conjugate() * j_m * j_p)
-    return ScatteringAmplitudes(r_left=r_left, r_right=r_right, t=t,
-                                r_right_conj_potential=rr_conj_star.conjugate())
+    return ScatteringAmplitudes(r_left=r_left, r_right=r_right, t=2.0 * g / den,
+                                r_right_conj_potential=rr_conj_star.conjugate(),
+                                t_minus_1=product / den)
 
 
 def amplitudes_analytic_array(coupling, gamma, a, mu):
@@ -113,12 +116,13 @@ def amplitudes_analytic_array(coupling, gamma, a, mu):
 
     ``coupling``, ``gamma``, ``a`` and ``mu`` are what ``wave_context``
     would put into ``spec.coupling``, ``gamma``, ``a_frak`` and ``mu``.
-    Returns (R^l, R^r, T, refused) and raises nothing.  ``refused`` marks
-    each element where ``amplitudes_analytic`` raises (a Bessel refusal or
-    a pole) and each element whose array J is not finite, where
+    Returns (R^l, R^r, T - 1, refused) and raises nothing.  ``refused``
+    marks each element where ``amplitudes_analytic`` raises (a Bessel
+    refusal or a pole) and each element whose array J is not finite, where
     ``bessel_j`` may still reach a value: evaluate those through
-    ``amplitudes_analytic``.  The amplitudes are unspecified there, and
-    equal to its amplitudes bit for bit everywhere else.
+    ``amplitudes_analytic``.  The values are unspecified there, and equal
+    to its ``r_left``, ``r_right`` and ``t_minus_1`` bit for bit
+    everywhere else.
     """
     coupling, g, a, mu = np.broadcast_arrays(np.asarray(coupling, dtype=complex),
                                              np.asarray(gamma, dtype=float),
@@ -128,22 +132,21 @@ def amplitudes_analytic_array(coupling, gamma, a, mu):
     (j_p, bad_p), (j_m, bad_m), (j_mm, bad_mm), (j_pm, bad_pm) = (
         bessel_j_array(nu, a) for nu in (g + 1.0, -g + 1.0, -g - 1.0, g - 1.0))
     # Object arrays of Python floats and complex numbers, so that each
-    # element goes through the very arithmetic of amplitudes_analytic.
-    # NumPy's complex products and quotients round differently, and
-    # |T - 1| = |2 gamma/D - 1| would magnify that by 1/|T - 1|.
+    # element goes through the very arithmetic of amplitudes_analytic:
+    # NumPy's complex products and quotients round differently.
     g_o, a_o, mu_o, j_p, j_m, j_mm, j_pm = (
         x.astype(object) for x in (g, a, mu, j_p, j_m, j_mm, j_pm))
-    c, den = _denominator(g_o, a_o, mu_o, j_m, j_p)
+    c, product, den = _denominator(g_o, a_o, mu_o, j_m, j_p)
     den = den.astype(complex)
     with np.errstate(all="ignore"):
         pole = np.hypot(den.real, den.imag) / (2.0 * g) < SINGULARITY_EPS
     den[den == 0] = np.nan  # a pole; Python's complex division would raise
-    r_left, r_right, t = (x.astype(complex) for x in _amplitudes(
-        g_o, c, mu_o, den.astype(object), j_p, j_m, j_mm, j_pm))
-    r_left[free] = r_right[free] = 0.0
-    t[free] = 1.0
+    den = den.astype(object)
+    r_left, r_right = _reflections(c, mu_o, den, j_p, j_m, j_mm, j_pm)
+    r_left, r_right, t_minus_1 = (x.astype(complex) for x in (r_left, r_right, product / den))
+    r_left[free] = r_right[free] = t_minus_1[free] = 0.0
     refused = ~free & (bad_p | bad_m | bad_mm | bad_pm | pole)
-    return r_left, r_right, t, refused
+    return r_left, r_right, t_minus_1, refused
 
 
 def amplitudes_perturbative(ctx: WaveContext) -> ScatteringAmplitudes:
@@ -177,4 +180,4 @@ def invisibility_quality(ctx: WaveContext) -> tuple[float, float]:
     mag = abs(amps.r_left)
     if mag < 1e-14:
         raise DegenerateDenominatorError("R_left is numerically zero; ratios undefined")
-    return abs(amps.r_right) / mag, abs(amps.t - 1.0) / mag
+    return abs(amps.r_right) / mag, abs(amps.t_minus_1) / mag

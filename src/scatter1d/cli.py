@@ -7,13 +7,21 @@ given scenario and seed (JSON floats use the shortest round-trip form,
 CSV uses 17 significant digits and CRLF line endings).
 
 Exit codes: 0 success (including structured no-solution results),
-1 validation-suite failure, 2 scenario/schema error, 3 numerical failure,
-4 classifier predicate/witness inconsistency.
+1 validation-suite failure, 2 scenario/schema error (including an output
+path that cannot be written), 3 numerical failure, 4 classifier
+predicate/witness inconsistency.
+
+``main(argv)`` can be called repeatedly in one process; each call parses
+into a fresh namespace, so no option carries over from one call to the
+next.  The parser from :func:`build_parser` is built, and binds each
+subcommand to its handler, on the first call only; every later call gets
+the same shared parser, which callers must not mutate.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -188,8 +196,11 @@ def _potential_from_block(block: dict) -> tuple[PotentialSpec, Optional[float]]:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _SchemaError(f"cannot write output {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -365,7 +376,9 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared parser: built once per process, never to be mutated."""
     parser = argparse.ArgumentParser(
         prog="scatter1d",
         description="Scattering, invisibility and spectral singularities of the "

@@ -136,7 +136,7 @@ def classify(ctx: WaveContext) -> InvisibilityVerdict:
 
     try:
         amps = amplitudes_analytic(ctx)
-        rl, rr, t1 = abs(amps.r_left), abs(amps.r_right), abs(amps.t - 1.0)
+        rl, rr, t1 = abs(amps.r_left), abs(amps.r_right), abs(amps.t_minus_1)
     except SpectralSingularityError:
         rl = rr = t1 = math.inf
 
@@ -251,9 +251,9 @@ def wavelength_sweep(eps0: complex, m: int, L_um: float,
         # sqrt(z)/k0 part by part, as Python divides a complex by a float
         root = np.sqrt(np.asarray(z, dtype=complex))
         a = root.real / fixed.k0 + 1j * (root.imag / fixed.k0)
-        r_left, r_right, t, refused = amplitudes_analytic_array(
+        r_left, r_right, t_minus_1, refused = amplitudes_analytic_array(
             z, gamma, a, mu_factor_array(gamma, fixed.m))
-        rows = np.column_stack([np.hypot(v.real, v.imag) for v in (r_left, r_right, t - 1.0)])
+        rows = np.column_stack([np.hypot(v.real, v.imag) for v in (r_left, r_right, t_minus_1)])
     refused |= ~((k > 0.0) & np.isfinite(k)) | (gamma == 0.0) | ~np.isfinite(rows).all(axis=1)
     for i in np.flatnonzero(refused):
         rows[i] = _scalar_sample(eps0, coupling, fixed, float(k[i]), float(lambdas_nm[i]))
@@ -270,7 +270,7 @@ def _scalar_sample(eps0: complex, coupling: Optional[complex], fixed: PotentialS
     except Scatter1dError as exc:
         exc.args = (f"lambda = {lam_nm:.6f} nm: {exc.args[0]}",) + exc.args[1:]
         raise
-    return abs(amps.r_left), abs(amps.r_right), abs(amps.t - 1.0)
+    return abs(amps.r_left), abs(amps.r_right), abs(amps.t_minus_1)
 
 
 def fig1_sweep(lambda_min_nm: float = 1050.0, lambda_max_nm: float = 1080.0,

@@ -73,12 +73,21 @@ class TransferMatrix:
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """(R_left, R_right, T), optionally with the conjugate potential's R_right."""
+    """(R_left, R_right, T), optionally with the conjugate potential's R_right.
+
+    ``t_minus_1`` is T - 1.  A route that can form it without subtracting 1
+    from T passes it in (the closed form does); otherwise it is ``t - 1``.
+    """
 
     r_left: complex
     r_right: complex
     t: complex
     r_right_conj_potential: Optional[complex] = None
+    t_minus_1: Optional[complex] = None
+
+    def __post_init__(self):
+        if self.t_minus_1 is None:
+            object.__setattr__(self, "t_minus_1", self.t - 1.0)
 
 
 @dataclass(frozen=True)

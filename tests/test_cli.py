@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import math
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 
 from scatter1d.cli import (EXIT_INCONSISTENT, EXIT_NUMERICAL, EXIT_OK,
-                           EXIT_SCHEMA, SCENARIO_SCHEMA, main)
+                           EXIT_SCHEMA, SCENARIO_SCHEMA, build_parser, main)
 
 DESIGN_EPS0 = 1.0061426168124073
 
@@ -83,6 +84,13 @@ class TestSingularity:
         assert abs(row["a_re"] - 0.174004) < 1e-5
         assert abs(row["a_im"] - 0.435309) < 1e-5
 
+    def test_unwritable_out_is_schema_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t1.json"
+        assert main(["singularity", "--table1", "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: cannot write output {out}:")
+        assert "Traceback" not in err
+
     def test_half_integer_scenario(self, tmp_path):
         out = tmp_path / "h.json"
         scen = write(tmp_path / "s.json", {
@@ -135,13 +143,16 @@ class TestSingularity:
 
 
 class TestClassify:
-    def classify_rc(self, tmp_path, coupling, m, L, gamma, json_out=True):
-        scen = write(tmp_path / "c.json", {
+    @staticmethod
+    def scenario(tmp_path, coupling, m, L, gamma):
+        return write(tmp_path / "c.json", {
             "potential": {"coupling_re": coupling.real, "coupling_im": coupling.imag,
                           "m": m, "L_um": L},
             "analysis": {"type": "classify", "gamma": gamma},
         })
-        args = ["classify", "--scenario", scen]
+
+    def classify_rc(self, tmp_path, coupling, m, L, gamma, json_out=True):
+        args = ["classify", "--scenario", self.scenario(tmp_path, coupling, m, L, gamma)]
         if json_out:
             args.append("--json")
         return main(args)
@@ -262,6 +273,51 @@ class TestValidate:
             main(["validate", "bessel", "--seed", seed])
         assert exc.value.code == EXIT_SCHEMA
         assert "argument --seed" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """Repeated ``main`` calls in one process share one parser."""
+
+    def test_one_parser_tree_for_many_calls(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        try:
+            scen = TestClassify.scenario(tmp_path, complex(0.09), 1, math.pi, 1.0)
+            assert main(["classify", "--scenario", scen]) == EXIT_OK
+            tree = len(built)
+            assert tree == 6  # scatter1d and its five subcommands
+            for argv in (["classify", "--scenario", scen, "--json"],
+                         ["design", "--gamma", "2.0062", "--side", "left"],
+                         ["validate", "bessel"],
+                         ["singularity"],
+                         ["classify", "--scenario", scen]):
+                main(argv)
+            assert len(built) == tree
+        finally:
+            build_parser.cache_clear()
+        capsys.readouterr()
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        scen = TestClassify.scenario(tmp_path, complex(0.09), 1, math.pi, 1.0)
+        out = tmp_path / "verdict.json"
+        assert main(["classify", "--scenario", scen, "--json", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["kind"] == "visible"
+        assert capsys.readouterr().out == ""
+        assert main(["classify", "--scenario", scen]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("kind: visible\n")
+
+    def test_repeated_table1_writes_the_same_bytes(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["singularity", "--table1", "--out", str(first)]) == EXIT_OK
+        assert main(["singularity", "--table1", "--out", str(second)]) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestEntry:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from scatter1d import invisibility
 from scatter1d.analytic import amplitudes_analytic
 from scatter1d.bessel import bessel_j, bessel_j_array, real_zeros
 from scatter1d.errors import DomainError, NoSolutionError, Scatter1dError
-from scatter1d.invisibility import (Mechanism, SWEEP_CSV_HEADER, VerdictKind,
+from scatter1d.invisibility import (FIG1_L_UM, FIG1_M, Mechanism,
+                                    SWEEP_CSV_HEADER, VerdictKind,
                                     classify, design_unidirectional,
                                     fig1_design_point,
                                     fig1_design_wavelength_nm, fig1_sweep,
@@ -241,6 +243,26 @@ class TestSweep:
         for curve in (data.abs_r_left, data.abs_r_right, data.abs_t_minus_1):
             assert float(np.max(curve)) > 100.0 * float(np.min(curve))
 
+    def test_t_minus_1_matches_mpmath_at_40_digits(self):
+        # |T - 1| = |P/(2 gamma - P)| with P = i pi a^2 mu J_{1-gamma} J_{gamma+1},
+        # from the same double k and coupling the sweep starts from.  Taken
+        # as 2 gamma/D - 1 it was off by 1.2e-8 next to the design point.
+        eps0 = fig1_design_point().eps0
+        data = fig1_sweep()
+        worst = 0.0
+        with mp.workdps(40):
+            k0 = FIG1_M * mp.pi / mp.mpf(FIG1_L_UM)
+            for lam, got in zip(data.lambda_nm, data.abs_t_minus_1):
+                k = 2000.0 * math.pi / float(lam)
+                z = k * k * (1.0 - eps0)
+                g = mp.mpf(k) / k0
+                a = mp.sqrt(mp.mpc(z.real, z.imag)) / k0
+                mu = (1 - mp.expj(2 * mp.pi * FIG1_M * g)) / (2j * mp.sin(mp.pi * g))
+                p = 1j * mp.pi * a * a * mu * mp.besselj(1 - g, a) * mp.besselj(g + 1, a)
+                ref = abs(p / (2 * g - p))
+                worst = max(worst, float(abs(got - ref) / ref))
+        assert worst <= 2e-10
+
     def test_free_space_sweep_is_identically_zero(self):
         data = fig1_sweep(samples=50, eps0=1.0)
         assert not np.any(data.abs_r_left)
@@ -271,7 +293,7 @@ def scalar_row(eps0, coupling, m, L, lam):
     spec = (PotentialSpec(coupling, m, L) if coupling is not None
             else from_permittivity(eps0, k, m, L))
     amps = amplitudes_analytic(wave_context(spec, k))
-    return abs(amps.r_left), abs(amps.r_right), abs(amps.t - 1.0)
+    return abs(amps.r_left), abs(amps.r_right), abs(amps.t_minus_1)
 
 
 def sweep_rows(data):
