@@ -10,9 +10,10 @@ the real axis (``scipy.special.jv``) and of I_nu on the imaginary one
 
 Wrapper rules
 -------------
-* Domain: finite nu and w with |nu| <= NU_MAX and |w| <= W_MAX, a
-  positive ``tol``, no J_nu(0) at negative non-integer nu, and ``tol`` no
-  smaller than :func:`relative_floor` (else :class:`AccuracyError`).
+* Domain: finite nu and w with |nu| <= NU_MAX and |w| <= W_MAX, no
+  J_nu(0) at negative non-integer nu, and w within the accuracy floor
+  (else :class:`AccuracyError`): not both |Im w| > FLOOR_IM and
+  |w| - |Im w| > 12, where the relative error would pass 1e-10.
 * Positive real w goes to the real ``jv(nu, x)``: values there are real
   exactly, where the complex routine leaves imaginary parts ~1e-17.
 * Im w < 0, or an imaginary part of -0.0, gives conj(jv(nu, conj w)):
@@ -55,13 +56,13 @@ W_MAX = 60.0
 #: Largest |nu| accepted.
 NU_MAX = 30.0
 
-#: Relative tolerance of :func:`bessel_j` unless the caller asks for another.
-DEFAULT_TOL = 1e-10
-
 #: Function-value bound accepted for a refined zero.
 TOL_ZERO = 1e-10
 
 _EPS = 2.220446049250313e-16
+
+#: ln(1e-10 / (0.2 eps)) ~ 14.627: see :func:`_beyond_floor`.
+FLOOR_IM = math.log(1e-10 / (0.2 * _EPS))
 
 
 class ZeroKind(str, Enum):
@@ -100,28 +101,17 @@ def sinpi(x: float) -> float:
     return -s if (int(n) & 1) else s
 
 
-def relative_floor(w: complex) -> float:
-    """Smallest relative tolerance :func:`bessel_j` accepts at ``w``.
+def _beyond_floor(w, wmag):
+    """Whether ``w`` (modulus ``wmag``: a complex or an ndarray) is refused.
 
-    This is the accuracy domain the package declares.  Where
-    |w| - |Im w| <= 12 the floor grows as e^{|w| - |Im w|}, the loss of an
-    ascending series to alternation; farther from the imaginary axis it
-    grows as e^{|Im w|}.  Near zeros of J the floor is relative to the
-    natural scale e^{|Im w|}, not to the (possibly tiny) function value
-    itself.  Against mpmath, ``scipy.special.jv`` stays within
-    50 tol max(|J_nu|, |J_{nu+1}|) for every tol >= 1e-14 at or above the
-    floor, except where AMOS flushes |J| < ~1e-290 to 0.
+    Against mpmath ``jv`` keeps 50 f max(|J_nu|, |J_{nu+1}|), f = 0.2 eps
+    e^{|w| - |Im w|} within 12 of the imaginary axis and 0.2 eps e^{|Im w|}
+    beyond, except where AMOS flushes |J| < ~1e-290 to 0.  f passes 1e-10
+    exactly here.  Arrays pass hypot: numpy's complex abs can differ in the
+    last bit.
     """
-    wmag, im = abs(w), abs(complex(w).imag)
-    loss = max(0.0, wmag - im) if wmag - im <= 12.0 else im
-    return _EPS * 0.2 * math.exp(min(loss, 80.0))
-
-
-def _relative_floor_array(w: np.ndarray) -> np.ndarray:
-    """:func:`relative_floor` of each element of ``w``."""
-    wmag, im = np.hypot(w.real, w.imag), np.abs(w.imag)
-    loss = np.where(wmag - im <= 12.0, np.maximum(0.0, wmag - im), im)
-    return _EPS * 0.2 * np.exp(np.minimum(loss, 80.0))
+    im = abs(w.imag)
+    return (im > FLOOR_IM) & (wmag - im > 12.0)
 
 
 def _jv(nu: float, w: complex) -> complex:
@@ -133,22 +123,19 @@ def _jv(nu: float, w: complex) -> complex:
     return complex(jv(nu, w))
 
 
-def bessel_j(nu: float, w: complex, tol: float = DEFAULT_TOL) -> complex:
+def bessel_j(nu: float, w: complex) -> complex:
     """J_nu(w) for real ``nu`` and complex ``w``, from ``scipy.special.jv``.
 
-    Relative error <= ``tol`` wherever |J_nu(w)| is not dominated by
-    cancellation (i.e. away from zeros); continuous in ``nu`` across
-    integers.  Raises :class:`DomainError` for non-finite input, outside
+    Error within 5e-9 max(|J_nu|, |J_{nu+1}|) throughout the domain (see
+    :func:`_beyond_floor`); continuous in ``nu`` across integers.  Raises :class:`DomainError` for non-finite input, outside
     |nu| <= NU_MAX and |w| <= W_MAX, for J_nu(0) at negative non-integer
-    nu and for a value outside double range; :class:`AccuracyError` if
-    ``tol`` lies below :func:`relative_floor`.
+    nu and for a value outside double range; :class:`AccuracyError`, naming
+    w, where |Im w| > FLOOR_IM and |w| - |Im w| > 12.
     """
     nu = float(nu)
     w = complex(w)
     if not (math.isfinite(nu) and cmath.isfinite(w)):
         raise DomainError("bessel_j requires finite nu and w")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     if abs(nu) > NU_MAX:
         raise DomainError(f"|nu|={abs(nu):.3g} exceeds supported bound {NU_MAX}")
     wmag = abs(w)
@@ -160,10 +147,9 @@ def bessel_j(nu: float, w: complex, tol: float = DEFAULT_TOL) -> complex:
         if nu > 0.0 or nu == math.floor(nu):
             return complex(0.0)
         raise DomainError("J_nu(0) diverges for negative non-integer nu")
-    floor = relative_floor(w)
-    if tol < floor:
-        raise AccuracyError(
-            f"tol={tol:.1e} unattainable at w={w!r} (cancellation floor ~{floor:.1e})")
+    if _beyond_floor(w, wmag):
+        raise AccuracyError(f"w={w!r} lies beyond the accuracy floor of J "
+                            f"(|Im w| > {FLOOR_IM:.3f} and |w| - |Im w| > 12)")
     val = _jv(nu, w)
     if not cmath.isfinite(val):
         # AMOS reports overflow once |J| passes ~1e303, four decades short
@@ -176,7 +162,7 @@ def bessel_j(nu: float, w: complex, tol: float = DEFAULT_TOL) -> complex:
 
 
 def bessel_j_array(nu: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`bessel_j` at ``DEFAULT_TOL`` elementwise over broadcast arrays.
+    """:func:`bessel_j` elementwise over broadcast arrays.
 
     Returns (J, refused) and raises nothing.  ``refused`` marks each
     element where ``bessel_j`` raises, and each element whose J is not
@@ -197,10 +183,10 @@ def bessel_j_array(nu: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
         out[upper] = jv(nu[upper], w[upper])
         at_zero = w == 0
         out[at_zero] = np.where(nu[at_zero] == 0.0, 1.0, 0.0)
+        wmag = np.hypot(w.real, w.imag)
         refused = (~(np.isfinite(nu) & np.isfinite(w)) | (np.abs(nu) > NU_MAX)
-                   | (np.hypot(w.real, w.imag) > W_MAX)
+                   | (wmag > W_MAX) | _beyond_floor(w, wmag)
                    | (at_zero & (nu < 0.0) & (nu != np.floor(nu)))
-                   | (~at_zero & (DEFAULT_TOL < _relative_floor_array(w)))
                    | ~np.isfinite(out))
     return out, refused
 

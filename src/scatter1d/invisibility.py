@@ -36,7 +36,7 @@ from .analytic import amplitudes_analytic, amplitudes_analytic_array
 from .bessel import bessel_j, imaginary_zeros, in_hurwitz_band, real_zeros
 from .errors import (DomainError, NoSolutionError, Scatter1dError,
                      SpectralSingularityError)
-from .potential import (PotentialSpec, WaveContext, from_permittivity,
+from .potential import (PotentialSpec, WaveContext, as_integer, from_permittivity,
                         mu_factor_array, snap_gamma_array, wave_context)
 
 #: Amplitude magnitude below which a channel counts as extinguished.
@@ -282,8 +282,7 @@ def fig1_sweep(lambda_min_nm: float = 1050.0, lambda_max_nm: float = 1080.0,
     zero rather than taken from the rounded literature value, which pushes
     the residual reflection at the design wavelength to the 1e-13 level.
     """
-    if samples < 2:
-        raise DomainError("samples must be >= 2")
+    samples = as_integer("samples", samples, 2)
     if eps0 is None:
         eps0 = fig1_design_point().eps0
     lambdas = np.linspace(lambda_min_nm, lambda_max_nm, samples)

@@ -126,8 +126,10 @@ def snap_gamma(gamma: float) -> float:
 
     The one integer test of the package: the snapped value is the Bessel
     order of every closed form and singularity condition.  A ``gamma``
-    that snaps to 0 raises :class:`DomainError`.
+    that snaps to 0, or is not finite, raises :class:`DomainError`.
     """
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma!r}")
     n = round(gamma)
     if abs(gamma - n) >= INTEGER_SNAP_EPS:
         return gamma
@@ -145,8 +147,10 @@ def mu_factor(gamma: float, m: int) -> complex:
     catastrophic cancellation of the naive quotient near kL in pi Z.
     At integer gamma = n (see :func:`snap_gamma`) the 0/0 form is replaced
     by its exact limit (-1)^(n+1) m; otherwise it returns exactly 0 when
-    m gamma is (numerically) an integer.
+    m gamma is (numerically) an integer.  Non-finite ``gamma``: DomainError.
     """
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma!r}")
     n = round(gamma)
     delta = gamma - n
     if abs(delta) < INTEGER_SNAP_EPS:
@@ -163,7 +167,7 @@ def mu_factor(gamma: float, m: int) -> complex:
 def snap_gamma_array(gamma: np.ndarray) -> np.ndarray:
     """:func:`snap_gamma` elementwise, without raising.
 
-    An element that snaps to 0 comes back as 0.0: those are the elements
+    An element that snaps to 0 comes back as 0.0, a non-finite one as is:
     where ``snap_gamma`` raises, and the caller refuses them.
     """
     gamma = np.asarray(gamma, dtype=float)

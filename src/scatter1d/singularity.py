@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import W_MAX, _bracketed_roots, bessel_j
+from .bessel import NU_MAX, W_MAX, _bracketed_roots, bessel_j
 from .errors import ConvergenceError, DomainError, NoSolutionError
 from .potential import PotentialSpec, as_integer, mu_factor, snap_gamma
 from .transfer import SINGULARITY_EPS, SampledPotential, transfer_matrix
@@ -175,6 +175,15 @@ def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
     return _solve_from_seed(_condition(g, m), g, m, seed)
 
 
+def _integer_order(n: int) -> int:
+    """``n`` as an int; the condition's J_{n+1} refuses n + 1 > NU_MAX."""
+    n = as_integer("n", n, 1)
+    if n + 1 > NU_MAX:
+        raise DomainError(f"n={n:.6g} needs the Bessel order nu = n + 1, "
+                          f"beyond the supported bound {NU_MAX}")
+    return n
+
+
 def _integer_seeds(n: int, m: int) -> list[complex]:
     """Leading-order roots a ~ 2 [n!(n+1)!/(2 pi i m)]^{1/(2n+2)} with Re eps0 > 1."""
     order = 2 * n + 2
@@ -195,9 +204,9 @@ def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
     Seeds every (2n+2)-th root branch of the leading-order solution, keeps
     the branches with Re eps0 > 1, Newton-refines each and returns the
     smallest-residual root (canonicalized to Re a >= 0; the condition is
-    even in a).
+    even in a).  An n with n + 1 > NU_MAX raises :class:`DomainError`.
     """
-    n, m = as_integer("n", n, 1), as_integer("m", m, 1)
+    n, m = _integer_order(n), as_integer("m", m, 1)
     condition = _condition(float(n), m)
     candidates = []
     for seed in _integer_seeds(n, m):
@@ -212,7 +221,7 @@ def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
 
 def seed_integer_gamma(n: int, m: int) -> complex:
     """Leading-order seed with the branch fixed by Re eps0 > 1, Re a >= 0."""
-    n, m = as_integer("n", n, 1), as_integer("m", m, 1)
+    n, m = _integer_order(n), as_integer("m", m, 1)
     seeds = [_canonical(seed) for seed in _integer_seeds(n, m)]
     if not seeds:
         raise NoSolutionError(f"no seed branch with Re eps0 > 1 for n={n}, m={m}")

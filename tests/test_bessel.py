@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatter1d import bessel
-from scatter1d.bessel import (TOL_ZERO, W_MAX, ZeroKind, bessel_j,
+from scatter1d.bessel import (FLOOR_IM, TOL_ZERO, W_MAX, ZeroKind, bessel_j,
                               bessel_j_array, bessel_j_derivative,
                               identity_residuals, imaginary_zeros,
-                              in_hurwitz_band, real_zeros, relative_floor)
+                              in_hurwitz_band, real_zeros)
 from scatter1d.errors import (AccuracyError, ConvergenceError, DomainError,
                               Scatter1dError)
 
@@ -24,6 +24,15 @@ def mp_j(nu: float, w: complex) -> complex:
     # mpf(float) converts exactly; parsing repr() would shift near-pole
     # orders by ~1e-16, which changes J by percent amounts there
     return complex(mp.besselj(mp.mpf(float(nu)), mp.mpc(w)))
+
+
+def reference_floor(w: complex) -> float:
+    # The relative accuracy floor of scipy's jv as a formula: e^{|w| - |Im w|}
+    # growth within 12 of the imaginary axis, e^{|Im w|} beyond.  bessel_j
+    # refuses exactly where it passes 1e-10.
+    wmag, im = abs(w), abs(complex(w).imag)
+    loss = max(0.0, wmag - im) if wmag - im <= 12.0 else im
+    return 2.220446049250313e-16 * 0.2 * math.exp(min(loss, 80.0))
 
 
 class TestValues:
@@ -41,7 +50,7 @@ class TestValues:
     def test_frozen_high_precision_point(self):
         # 40-digit series evaluation of J_{3/2}(2)
         ref = 0.4912937786871623450
-        val = bessel_j(1.5, 2.0 + 0j, tol=1e-12)
+        val = bessel_j(1.5, 2.0 + 0j)
         assert abs(val - ref) <= 1e-12 * abs(ref)
         assert abs(val.imag) == 0.0
 
@@ -50,8 +59,8 @@ class TestValues:
     @pytest.mark.parametrize("phase", [0.0, 0.8, math.pi / 2, 2.7, math.pi, -1.2])
     def test_against_independent_series_oracle(self, nu, r, phase):
         w = r * cmath.exp(1j * phase)
-        tol = max(1e-12, 2.0 * relative_floor(w))
-        val = bessel_j(nu, w, tol)
+        tol = max(1e-12, 2.0 * reference_floor(w))
+        val = bessel_j(nu, w)
         ref = mp_j(nu, w)
         scale = max(abs(ref), abs(mp_j(nu + 1.0, w)))
         assert abs(val - ref) <= 50.0 * tol * scale
@@ -79,15 +88,14 @@ class TestValues:
             bessel_j(0.0, complex(W_MAX + 5.0))
         with pytest.raises(DomainError):
             bessel_j(float("nan"), 1.0 + 0j)
-        with pytest.raises(DomainError):
-            bessel_j(0.0, 1.0, tol=-1.0)
-        with pytest.raises(AccuracyError):
-            bessel_j(0.0, 20.0 + 0j, tol=1e-18)
+        with pytest.raises(AccuracyError, match=r"w=\(30\+16j\)"):
+            bessel_j(0.0, 30.0 + 16j)
 
 
 class TestContract:
     def test_against_mpmath_on_a_seeded_ensemble(self):
-        # AccuracyError exactly below the declared floor, mpmath agreement above it
+        # AccuracyError exactly where the floor passes 1e-10, mpmath agreement
+        # to 50 times the floor (at least 1e-14) everywhere else
         rng = random.Random(20261018)
         refused = 0
         for _ in range(400):
@@ -102,13 +110,13 @@ class TestContract:
                 w = complex(-r, 0.0)
             else:
                 w = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            tol = 10.0 ** rng.uniform(-14.0, -6.0)
-            if tol < relative_floor(w):
+            tol = max(1e-14, reference_floor(w))
+            if tol > 1e-10:
                 refused += 1
                 with pytest.raises(AccuracyError):
-                    bessel_j(nu, w, tol)
+                    bessel_j(nu, w)
                 continue
-            val = bessel_j(nu, w, tol)
+            val = bessel_j(nu, w)
             ref = mp_j(nu, w)
             scale = max(abs(ref), abs(mp_j(nu + 1.0, w)))
             assert abs(val - ref) <= 50.0 * tol * scale, (nu, w, tol)
@@ -118,6 +126,45 @@ class TestContract:
         # the Newton iterate on which scan_singularities(2, 1) stops
         with pytest.raises(AccuracyError):
             bessel_j(2.0, 26.767 + 23.4665j)
+
+    def test_refusals_follow_the_floor_formula(self):
+        # AccuracyError, and the array form's refusal, exactly where
+        # reference_floor passes 1e-10: over the disc |w| <= 60, within
+        # 1e-12 of |Im w| = ln(1e-10 / (0.2 eps)) ~ 14.627 and of
+        # |w| - |Im w| = 12, and on the 50 doubles either side of both
+        def doubles_around(x):
+            below, above = [x], [x]
+            for _ in range(50):
+                below.append(math.nextafter(below[-1], -math.inf))
+                above.append(math.nextafter(above[-1], math.inf))
+            return np.array(below[:0:-1] + above)
+
+        rng = np.random.default_rng(0x5EED)
+        n = 3000
+        edge = math.log(1e-10 / (0.2 * 2.220446049250313e-16))
+        sign = rng.choice([-1.0, 1.0], size=(3, n))
+        disc = 60.0 * np.sqrt(rng.uniform(size=n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        im = edge + rng.uniform(-1e-12, 1e-12, n)
+        across_im = sign[0] * rng.uniform(0.0, 58.0, n) + 1j * sign[1] * im
+        im = rng.uniform(14.0, 30.0, n)
+        re = np.sqrt((12.0 + im + rng.uniform(-1e-12, 1e-12, n)) ** 2 - im * im)
+        across_12 = sign[2] * re + 1j * sign[0] * im
+        next_to_edge = 40.0 + 1j * doubles_around(edge)
+        im = rng.uniform(15.0, 30.0, 20)
+        re = np.sqrt((12.0 + im) ** 2 - im * im)
+        next_to_12 = np.concatenate([doubles_around(x) + 1j * y
+                                     for x, y in zip(re.tolist(), im.tolist())])
+        w = np.concatenate([disc, across_im, across_12, next_to_edge, next_to_12])
+        expected = [reference_floor(x) > 1e-10 for x in w.tolist()]
+        assert 0.1 * len(w) < sum(expected) < 0.9 * len(w)
+        for x, beyond in zip(w.tolist(), expected):
+            try:
+                bessel_j(0.5, x)
+            except AccuracyError:
+                assert beyond, x
+            else:
+                assert not beyond, x
+        assert bessel_j_array(0.5, w)[1].tolist() == expected
 
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"nu=-29\.5"):
@@ -160,7 +207,7 @@ class TestArrayForm:
 
     def test_refuses_where_relative_floor_exceeds_the_default_tolerance(self):
         w = np.array([30 + 16j, 30 + 14j])
-        assert [relative_floor(x) > bessel.DEFAULT_TOL for x in w.tolist()] == [True, False]
+        assert [reference_floor(x) > 1e-10 for x in w.tolist()] == [True, False]
         assert bessel_j_array(0.5, w)[1].tolist() == [True, False]
 
 

@@ -72,6 +72,19 @@ class TestSweep:
     def test_missing_file(self, tmp_path):
         assert main(["sweep", "--scenario", str(tmp_path / "nope.json")]) == EXIT_SCHEMA
 
+    def test_non_finite_gamma_exits_3(self, tmp_path, capsys):
+        # L = 1e308 um puts gamma = kL/(m pi) at inf
+        scen = write(tmp_path / "scen.json", {
+            "potential": {"eps0_re": DESIGN_EPS0, "eps0_im": 0.0,
+                          "m": 243, "L_um": 1e308, "gamma": 2.0062},
+            "analysis": {"type": "sweep", "lambda_min_nm": 1050.0,
+                         "lambda_max_nm": 1080.0, "samples": 20},
+            "output": {"path": str(tmp_path / "out.csv"), "format": "csv"},
+        })
+        assert main(["sweep", "--scenario", scen]) == EXIT_NUMERICAL
+        assert ("lambda = 1050.000000 nm: gamma must be finite, got inf"
+                in capsys.readouterr().err)
+
 
 class TestSingularity:
     def test_table1(self, tmp_path, capsys):
@@ -131,6 +144,14 @@ class TestSingularity:
         })
         assert main(["singularity", "--scenario", scen]) == EXIT_NUMERICAL
         assert "|w|=166 exceeds supported bound" in capsys.readouterr().err
+
+    def test_integer_order_beyond_the_bound_exits_3(self, tmp_path, capsys):
+        # n = 1e300 passes the schema; the solver refuses it before seeding
+        scen = tmp_path / "s.json"
+        scen.write_text('{"analysis": {"type": "singularity", "mode": "integer", '
+                        '"n": 1e300, "m": 1}}')
+        assert main(["singularity", "--scenario", str(scen)]) == EXIT_NUMERICAL
+        assert "n=1e+300 needs the Bessel order" in capsys.readouterr().err
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
                                          pytest.param("1" + "0" * 400, id="int-1e400")])

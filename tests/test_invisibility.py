@@ -269,6 +269,14 @@ class TestSweep:
         assert not np.any(data.abs_r_right)
         assert not np.any(data.abs_t_minus_1)
 
+    @pytest.mark.parametrize("samples", [2.5, 1, "3", None])
+    def test_sample_count_must_be_an_integer_of_at_least_2(self, samples):
+        with pytest.raises(DomainError, match="samples must be an integer >= 2"):
+            fig1_sweep(samples=samples)
+
+    def test_integral_sample_count_accepted(self):
+        assert fig1_sweep(samples=3.0).lambda_nm.tolist() == [1050.0, 1065.0, 1080.0]
+
     def test_empty_wavelength_grid(self):
         data = wavelength_sweep(1.006, 243, 260.0, np.array([]))
         assert data.abs_r_left.shape == data.abs_t_minus_1.shape == (0,)

@@ -101,6 +101,13 @@ class TestMu:
             with pytest.raises(DomainError, match="snapped to 0"):
                 snap_gamma(gamma)
 
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gamma_is_a_domain_error(self, gamma):
+        with pytest.raises(DomainError, match=f"gamma must be finite, got {gamma!r}"):
+            snap_gamma(gamma)
+        with pytest.raises(DomainError, match=f"gamma must be finite, got {gamma!r}"):
+            mu_factor(gamma, 2)
+
     def test_array_forms_match_scalar(self):
         gammas = [0.3, 2.0, 2.0 + 5e-10, 3 - 5e-10, 2.0 + 2e-9, 1.5, 4 / 3, 2 / 3,
                   0.5, 2.0062, 7.25, 1e-12, -5e-10]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -109,9 +110,21 @@ class TestIntegerGamma:
         with pytest.raises(DomainError, match="nu"):
             solve_integer_gamma(200, 1)
 
+    @pytest.mark.parametrize("n", [30, 10**6, 1e300])
+    def test_order_beyond_the_bound_is_refused_up_front(self, n, monkeypatch):
+        # the condition needs J_{n+1}: n + 1 > NU_MAX is refused before any
+        # of the 2n + 2 seed branches is enumerated
+        def enumerate_seeds(*args):
+            raise AssertionError("seed branches enumerated")
+        monkeypatch.setattr(singularity, "_integer_seeds", enumerate_seeds)
+        for solve in (solve_integer_gamma, seed_integer_gamma):
+            with pytest.raises(DomainError, match=re.escape(f"n={n:.6g} needs the Bessel order")):
+                solve(n, 1)
+
     def test_large_order_seed_is_the_leading_order_root(self):
-        # |a| = 2 [n!(n+1)!/(2 pi m)]^{1/(2n+2)}, past the float range of n!(n+1)!
-        n = 200
+        # |a| = 2 [n!(n+1)!/(2 pi m)]^{1/(2n+2)} at the largest n with
+        # n + 1 <= NU_MAX
+        n = 29
         base = mp.factorial(n) * mp.factorial(n + 1) / (2 * mp.pi)
         radius = float(2 * base ** (mp.mpf(1) / (2 * n + 2)))
         assert abs(abs(seed_integer_gamma(n, 1)) - radius) < 1e-12 * radius

@@ -1,3 +1,6 @@
+import pytest
+
+from scatter1d.errors import DomainError
 from scatter1d.validate import DEFAULT_SEED, run_suite
 
 
@@ -14,3 +17,8 @@ def test_conjecture_probe_is_recorded_not_asserted():
     record = rep.records["no_common_zero_probe"]
     assert set(record) >= {"min_abs_j", "violation"}
     assert isinstance(record["violation"], bool)
+
+
+def test_unknown_suite_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown suite 'nope'"):
+        run_suite("nope")
