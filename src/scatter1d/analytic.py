@@ -165,9 +165,10 @@ def amplitudes_perturbative(ctx: WaveContext) -> ScatteringAmplitudes:
     m = ctx.spec.m
     w = ctx.a_frak ** 2
     r_right = -1j * _PI * m * w ** (n + 2) / (2 ** (2 * n + 3) * n * math.factorial(n + 1) ** 2)
-    t = 1.0 + 1j * _PI * m * w ** (n + 1) / (2 ** (2 * n + 1) * math.factorial(n) * math.factorial(n + 1))
+    t_minus_1 = 1j * _PI * m * w ** (n + 1) / (2 ** (2 * n + 1) * math.factorial(n) * math.factorial(n + 1))
     r_left = -1j * _PI * m * w ** n / (2 ** (2 * n - 1) * n * math.factorial(n - 1) ** 2)
-    return ScatteringAmplitudes(r_left=r_left, r_right=r_right, t=t)
+    return ScatteringAmplitudes(r_left=r_left, r_right=r_right, t=1.0 + t_minus_1,
+                                t_minus_1=t_minus_1)
 
 
 def invisibility_quality(ctx: WaveContext) -> tuple[float, float]:

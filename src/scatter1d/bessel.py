@@ -6,7 +6,8 @@ residuals of the classical identities (which double as this module's
 internal consistency oracle), real-axis zeros and the Hurwitz pair of
 purely imaginary zeros.  The zero searches bracket sign changes of J_nu on
 the real axis (``scipy.special.jv``) and of I_nu on the imaginary one
-(``scipy.special.iv``) and refine them with ``scipy.optimize.brentq``.
+(``scipy.special.iv``) and refine them with ``scipy.optimize.brentq``,
+which is imported on the first refinement.
 
 Wrapper rules
 -------------
@@ -44,9 +45,9 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import iv, jv
 
+from ._deferred import brentq
 from .errors import AccuracyError, ConvergenceError, DomainError
 
 #: Largest |w| accepted.  Everything the scattering formulas need stays

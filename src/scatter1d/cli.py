@@ -27,7 +27,6 @@ import math
 import sys
 from typing import NoReturn, Optional
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -141,8 +140,16 @@ SCENARIO_SCHEMA = {
 }
 
 
-# Built once: jsonschema.validate would re-check the schema on every call.
-_SCENARIO_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+@functools.cache
+def _scenario_validator():
+    """The schema's validator, built on the first scenario read.
+
+    jsonschema is imported here, not at start-up: ``singularity --table1``
+    and ``design`` without ``--scenario`` read no scenario.  Built once,
+    because jsonschema.validate would re-check the schema on every call.
+    """
+    import jsonschema
+    return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
 class _SchemaError(Exception):
@@ -174,7 +181,8 @@ def _load_scenario(path: str) -> dict:
                             parse_int=_finite_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise _SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(doc))
+    from jsonschema.exceptions import best_match
+    error = best_match(_scenario_validator().iter_errors(doc))
     if error is not None:
         raise _SchemaError(f"scenario failed schema validation: {error.message}")
     return doc

@@ -7,9 +7,10 @@ under a shift by d when v is, so the whole support is crossed by Phi^m,
 m = ``cells``, with no phase correction; one 4-component solve then serves
 both incidence directions, matched to plane waves at the edges.  The
 coefficient evolution in :mod:`scatter1d.transfer` runs on the same scipy
-integrator; this route stays independent of it in the equation (psi and
-psi' here, the coefficient pair (A, B) there) and in the plane-wave
-matching, and takes from it only the potential and amplitude data types.
+integrator, imported on the first solve; this route stays independent of
+it in the equation (psi and psi' here, the coefficient pair (A, B) there)
+and in the plane-wave matching, and takes from it only the potential and
+amplitude data types.
 The two must agree to integration tolerance and are cross-checked in the
 validation suites.
 """
@@ -19,8 +20,8 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._deferred import solve_ivp
 from .errors import ConvergenceError
 from .potential import check_wavenumber
 from .transfer import SampledPotential, ScatteringAmplitudes

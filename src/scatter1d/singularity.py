@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .bessel import NU_MAX, W_MAX, _bracketed_roots, bessel_j
-from .errors import ConvergenceError, DomainError, NoSolutionError
+from .errors import AccuracyError, ConvergenceError, DomainError, NoSolutionError
 from .potential import PotentialSpec, as_integer, mu_factor, snap_gamma
 from .transfer import SINGULARITY_EPS, SampledPotential, transfer_matrix
 
@@ -204,7 +204,8 @@ def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
     Seeds every (2n+2)-th root branch of the leading-order solution, keeps
     the branches with Re eps0 > 1, Newton-refines each and returns the
     smallest-residual root (canonicalized to Re a >= 0; the condition is
-    even in a).  An n with n + 1 > NU_MAX raises :class:`DomainError`.
+    even in a).  A branch whose Newton iterates stall or leave the Bessel
+    domain is skipped.  An n with n + 1 > NU_MAX raises :class:`DomainError`.
     """
     n, m = _integer_order(n), as_integer("m", m, 1)
     condition = _condition(float(n), m)
@@ -212,7 +213,7 @@ def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
     for seed in _integer_seeds(n, m):
         try:
             candidates.append(_solve_from_seed(condition, float(n), m, seed))
-        except ConvergenceError:
+        except (ConvergenceError, DomainError, AccuracyError):
             continue
     if not candidates:
         raise ConvergenceError(f"no branch converged for n={n}, m={m}")

@@ -24,7 +24,8 @@ composition.
 
 Every evolution runs on scipy's ``solve_ivp`` with the 8th-order
 Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.10), rtol = atol = 0.05 tol.  The shooting oracle in
+sec. II.10), rtol = atol = 0.05 tol; ``scipy.integrate`` is imported on
+the first evolution.  The shooting oracle in
 :mod:`scatter1d.shooting` uses the same integrator on a different equation
 (the second-order one for psi) with plane-wave matching at the edges.
 """
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._deferred import solve_ivp
 from .errors import (ConvergenceError, DegenerateDenominatorError, DomainError,
                      NearZeroError, SpectralSingularityError)
 from .potential import PotentialSpec, as_integer, check_wavenumber, evaluate_potential
@@ -76,7 +77,8 @@ class ScatteringAmplitudes:
     """(R_left, R_right, T), optionally with the conjugate potential's R_right.
 
     ``t_minus_1`` is T - 1.  A route that can form it without subtracting 1
-    from T passes it in (the closed form does); otherwise it is ``t - 1``.
+    from T passes it in (the closed form and the perturbative series do);
+    otherwise it is ``t - 1``.
     """
 
     r_left: complex

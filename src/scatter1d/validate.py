@@ -213,7 +213,7 @@ def analytic_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
         for z in bessel.real_zeros(n + 1.0, 3):
             spec = potential.PotentialSpec(coupling=z.location ** 2, m=1, L=math.pi)
             amps = analytic.amplitudes_analytic(potential.wave_context(spec, float(n)))
-            worst = max(worst, abs(amps.t - 1.0), abs(amps.r_right))
+            worst = max(worst, abs(amps.t_minus_1), abs(amps.r_right))
     rep.add("transparent-at-right-invisible-points", worst < 1e-9,
             f"worst |T-1|, |R^r| = {worst:.2e}")
 
@@ -271,7 +271,7 @@ def analytic_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
             worst = max(worst,
                         abs(exact.r_left - lead.r_left) / abs(lead.r_left),
                         abs(exact.r_right - lead.r_right) / abs(lead.r_right),
-                        abs((exact.t - 1.0) - (lead.t - 1.0)) / abs(lead.t - 1.0))
+                        abs(exact.t_minus_1 - lead.t_minus_1) / abs(lead.t_minus_1))
     rep.add("leading-order-consistency", worst < 0.05,
             f"worst relative deviation {worst:.2e} at |a| = 0.1 n m / (n m)")
     return rep

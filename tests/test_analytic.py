@@ -259,6 +259,19 @@ class TestPerturbative:
         assert abs(exact.r_right - lead.r_right) / abs(lead.r_right) < 0.05
         assert abs((exact.t - 1) - (lead.t - 1)) / abs(lead.t - 1) < 0.05
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_t_minus_1_is_the_series_term(self, n, m):
+        # T - 1 = i pi m w^{n+1} / (2^{2n+1} n! (n+1)!), w = a^2; at
+        # a = 1e-3 it lies far below the rounding of T = 1 + (T - 1)
+        a = 1e-3 * (0.6 + 0.8j)
+        lead = amplitudes_perturbative(wave_context(make_spec(a, m=m), n * m * 1.0))
+        w = mp.mpc(a) ** 2
+        term = 1j * mp.pi * m * w ** (n + 1) / (2 ** (2 * n + 1) * mp.factorial(n)
+                                                * mp.factorial(n + 1))
+        assert abs(lead.t_minus_1 - complex(term)) <= 1e-14 * abs(complex(term))
+        assert lead.t == 1.0 + lead.t_minus_1
+
     def test_requires_integer_gamma(self):
         spec = make_spec(0.1, m=1)
         with pytest.raises(DomainError):

@@ -2,12 +2,16 @@ import argparse
 import json
 import logging
 import math
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import scatter1d
 from scatter1d.cli import (EXIT_INCONSISTENT, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_SCHEMA, SCENARIO_SCHEMA, build_parser, main)
 
@@ -364,3 +368,56 @@ class TestEntry:
             runpy.run_module("scatter1d.cli", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("scatter1d ")
+
+
+# Runs main(argv) in a fresh interpreter and prints the modules it loads
+# beyond numpy and scipy.special.
+_MODULE_PROBE = """
+import json, sys
+import numpy, scipy.special
+before = set(sys.modules)
+from scatter1d.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+class TestDeferredImports:
+    """Commands on the closed forms load no scipy solver and, without a
+    scenario, no jsonschema."""
+
+    @staticmethod
+    def added_modules(argv):
+        env = dict(os.environ)
+        src = str(Path(scatter1d.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        report = json.loads(proc.stdout)
+        assert report["rc"] == EXIT_OK
+        assert "scatter1d.cli" in report["added"]
+        return report["added"]
+
+    @staticmethod
+    def loaded(added, packages):
+        return [m for m in added if any(m == p or m.startswith(p + ".") for p in packages)]
+
+    def test_table1(self, tmp_path):
+        added = self.added_modules(["singularity", "--table1",
+                                    "--out", str(tmp_path / "t1.json")])
+        assert self.loaded(added, ("scipy.integrate", "scipy.optimize", "jsonschema")) == []
+
+    def test_classify(self, tmp_path):
+        scenario = write(tmp_path / "scen.json", {
+            "potential": {"eps0_re": DESIGN_EPS0, "eps0_im": 0.0,
+                          "m": 243, "L_um": 260.0, "gamma": 2.0062},
+            "analysis": {"type": "classify"},
+        })
+        added = self.added_modules(["classify", "--scenario", scenario, "--json",
+                                    "--out", str(tmp_path / "verdict.json")])
+        assert self.loaded(added, ("scipy.integrate", "scipy.optimize")) == []
+
+    def test_sweep(self, tmp_path):
+        scenario = sweep_scenario(tmp_path, str(tmp_path / "sweep.csv"))
+        added = self.added_modules(["sweep", "--scenario", scenario])
+        assert self.loaded(added, ("scipy.integrate", "scipy.optimize")) == []

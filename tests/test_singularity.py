@@ -106,6 +106,20 @@ class TestIntegerGamma:
         with pytest.raises(DomainError):
             seed_integer_gamma(n, m)
 
+    def test_branch_leaving_the_domain_is_skipped(self):
+        # one seed branch of n = 7, m = 1 steps out to |w| ~ 3e3 (DomainError);
+        # another converges to this root
+        sol = solve_integer_gamma(7, 1)
+        assert abs(sol.a_frak - (0.4325 + 5.2874j)) < 1e-4
+        assert validate_root_ode(sol) < SINGULARITY_EPS
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_reachable_order_returns_a_root(self, m):
+        # branches that wander off raise DomainError (m = 1, 2, 3) or
+        # AccuracyError (m = 3) inside Newton; neither may reach the caller
+        for n in range(1, 30):
+            assert solve_integer_gamma(n, m).residual <= singularity.RESIDUAL_TOL
+
     def test_large_order_reaches_the_bessel_order_bound(self):
         with pytest.raises(DomainError, match="nu"):
             solve_integer_gamma(200, 1)
