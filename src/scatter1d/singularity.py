@@ -33,6 +33,11 @@ integrated |M22| to zero.  ``solve_half_integer`` keeps the printed
 equation so its p = 0 solution reproduces the tabulated eps0 = 4.127542;
 ``solve_general`` at gamma = p + 1/2 yields the ODE-validated root instead
 (eps0 = 5.265622 at p = 0, m = 1).
+
+``scan_singularities`` Newton-solves from a grid of seeds and returns the
+roots with |a| <= SCAN_RADIUS whose integrated |M22| is below
+SINGULARITY_EPS; roots Newton reaches beyond that disc are dropped without
+the (costly) ODE check.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ HALF_INTEGER_SCAN_STEP = 0.03
 #: Seed box 0 < Re a <= SCAN_RE_MAX, |Im a| <= SCAN_IM_MAX, SCAN_GRID seeds.
 SCAN_RE_MAX = SCAN_IM_MAX = 2.0
 SCAN_GRID = (6, 7)
+#: The scan keeps roots with |a| <= SCAN_RADIUS only; Newton roots beyond it
+#: are dropped before the ODE check.
+SCAN_RADIUS = 8.0
 
 _MAX_NEWTON = 100
 
@@ -100,14 +108,14 @@ def _newton(f_df: Callable[[complex], tuple[complex, complex]],
         if abs(fa) < 1e-13 * scale:
             return a, abs(fa)
         if abs(d) < 1e-14:
-            raise ConvergenceError(f"derivative vanished at a={a!r}")
+            raise ConvergenceError(f"Newton derivative vanished at a={a!r}")
         step = fa / d
         a = a - step
         trail.append(a)
         if abs(step) < 5e-16 * (1.0 + abs(a)):
             return a, abs(f_df(a)[0])
     raise ConvergenceError(
-        f"Newton did not converge from seed {seed!r}; trajectory tail "
+        f"Newton did not converge; trajectory tail "
         f"{[format(t, '.6g') for t in trail[-4:]]}")
 
 
@@ -148,11 +156,20 @@ def _condition(gamma: float, m: int) -> _Condition:
 
 def _solve_from_seed(condition: _Condition, gamma: float, m: int,
                      seed: complex) -> SingularitySolution:
-    """Newton-refine ``seed`` on a ``_condition`` and check the residual."""
+    """Newton-refine ``seed`` on a ``_condition`` and check the residual.
+
+    A :class:`ConvergenceError` names ``gamma``, ``m`` and ``seed``.
+    """
     f_df, scale = condition
-    root, residual = _newton(f_df, seed, scale)
+    where = f"gamma={gamma!r}, m={m}, seed={seed!r}"
+    try:
+        root, residual = _newton(f_df, seed, scale)
+    except ConvergenceError as exc:
+        exc.args = (f"{where}: {exc.args[0]}",) + exc.args[1:]
+        raise
     if residual > RESIDUAL_TOL:
-        raise ConvergenceError(f"root residual {residual:.2e} above {RESIDUAL_TOL:.1e}")
+        raise ConvergenceError(
+            f"{where}: root residual {residual:.2e} above {RESIDUAL_TOL:.1e}")
     root = _canonical(root)
     return SingularitySolution(a_frak=root, eps0=_eps0_of(root, gamma),
                                gamma=gamma, m=m, residual=residual)
@@ -288,12 +305,18 @@ def scan_singularities(gamma: float, m: int,
     """Grid-seeded sweep for roots of the singularity condition.
 
     Seeds Newton from ``grid`` points (an argument so that perfbench's tracer
-    can count them) in the SCAN_RE_MAX by SCAN_IM_MAX box, deduplicates the
-    roots on their coupling a^2 (a and -a are one singularity) and keeps
-    those whose integrated |M22| is below SINGULARITY_EPS.  Deterministic
-    ordering by (Re a, Im a), with Re a rounded to 12 decimals so that roots
-    on the imaginary axis, whose real parts are rounding noise, are ordered
-    by Im a.
+    can count them) in the SCAN_RE_MAX by SCAN_IM_MAX box.  Newton may end
+    anywhere; a root with |a| > SCAN_RADIUS (or |a| < 1e-8) is dropped
+    before the ODE check: no root beyond the radius has validated in any
+    scan tried, and those are the costliest to integrate.  The rest are deduplicated on their coupling a^2 (a and -a are
+    one singularity), and those whose integrated |M22| is below
+    SINGULARITY_EPS are kept.  Deterministic ordering by (Re a, Im a), with
+    Re a rounded to 12 decimals so that roots on the imaginary axis, whose
+    real parts are rounding noise, are ordered by Im a.
+
+    An :class:`AccuracyError` from a Newton iterate that leaves the Bessel
+    accuracy domain propagates, prefixed with the scan's ``gamma``, ``m``
+    and the seed.
     """
     m = as_integer("m", m, 1)
     g = _order(gamma)
@@ -309,11 +332,17 @@ def scan_singularities(gamma: float, m: int,
         re = SCAN_RE_MAX * (i + 1) / n_re
         for j in range(n_im):
             im = -SCAN_IM_MAX + 2.0 * SCAN_IM_MAX * j / max(n_im - 1, 1)
+            seed = complex(re, im)
             try:
-                sol = _solve_from_seed(condition, g, m, complex(re, im))
+                sol = _solve_from_seed(condition, g, m, seed)
             except (ConvergenceError, NoSolutionError, DomainError):
                 continue
-            if abs(sol.a_frak) < 1e-8:
+            except AccuracyError as exc:
+                exc.args = (f"scan_singularities(gamma={gamma!r}, m={m}) from seed "
+                            f"{seed!r}: {exc.args[0]}",) + exc.args[1:]
+                raise
+            # Written so that a NaN |a| is dropped too.
+            if not 1e-8 <= abs(sol.a_frak) <= SCAN_RADIUS:
                 continue
             # Rejected roots count as seen too, so none is validated twice.
             coupling = sol.a_frak * sol.a_frak

@@ -8,7 +8,8 @@ import pytest
 
 from scatter1d import bessel, singularity
 from scatter1d.bessel import bessel_j
-from scatter1d.errors import DomainError, NoSolutionError
+from scatter1d.errors import (AccuracyError, ConvergenceError, DomainError,
+                              NoSolutionError)
 from scatter1d.singularity import (half_integer_residual, scan_singularities,
                                    seed_integer_gamma, solve_general,
                                    solve_half_integer, solve_integer_gamma,
@@ -187,6 +188,17 @@ class TestGeneralGamma:
         with pytest.raises(DomainError):
             solve_general(0.7, 1, seed=0)
 
+    @pytest.mark.parametrize("f_df,message", [
+        (lambda a: (1.0, 0.0), "Newton derivative vanished"),
+        (lambda a: (1.0, 1e-3), "Newton did not converge"),
+        (lambda a: (1e-9, 1e9), "root residual 1.00e-09 above"),
+    ], ids=["flat", "wandering", "residual"])
+    def test_convergence_errors_name_gamma_m_and_seed(self, monkeypatch, f_df, message):
+        monkeypatch.setattr(singularity, "_condition", lambda gamma, m: (f_df, 1.0))
+        with pytest.raises(ConvergenceError,
+                           match=re.escape(f"gamma=0.7, m=2, seed=(0.5+0.5j): {message}")):
+            solve_general(0.7, 2, seed=0.5 + 0.5j)
+
     def test_half_integer_even_m_has_no_solution(self):
         with pytest.raises(NoSolutionError):
             solve_general(0.5, 2, seed=1j)
@@ -302,7 +314,8 @@ class TestScan:
         assert keys == sorted(keys)
 
     def test_each_root_validated_once(self, monkeypatch):
-        # two grid seeds converge to the same rejected root at (1, 1)
+        # at (1, 100) five roots inside the disc are validated and three kept:
+        # 5.1356-0.0054i and 5.5201+0.0050i reach only |M22| ~ 5e-7 and 3e-7
         validated = []
 
         def counting(sol):
@@ -310,10 +323,33 @@ class TestScan:
             return validate_root_ode(sol)
 
         monkeypatch.setattr(singularity, "validate_root_ode", counting)
-        sols = scan_singularities(1.0, 1)
+        sols = scan_singularities(1.0, 100)
         assert len(validated) > len(sols)  # some root was rejected
         for i, a in enumerate(validated):
             assert all(abs(a - b) >= singularity.DEDUP_TOL for b in validated[:i])
+
+    @pytest.mark.parametrize("gamma,m", [(1.0, 1), (0.7, 1), (0.7, 2)])
+    def test_roots_beyond_the_radius_are_not_validated(self, monkeypatch, gamma, m):
+        # Newton ends beyond |a| = 8 from some seed in each of these scans
+        # (8.28-0.24i, 14.41-0.035i, 14.41+0.016i); those roots are dropped
+        # before the ODE check
+        validated = []
+
+        def recording(sol):
+            validated.append(sol.a_frak)
+            return validate_root_ode(sol)
+
+        monkeypatch.setattr(singularity, "validate_root_ode", recording)
+        scan_singularities(gamma, m)
+        assert validated and all(abs(a) <= singularity.SCAN_RADIUS for a in validated)
+
+    def test_accuracy_error_names_the_scan_and_seed(self):
+        # an undamped Newton step from one seed leaves the Bessel accuracy domain
+        with pytest.raises(AccuracyError, match=re.escape(
+                "scan_singularities(gamma=2.5, m=1) from seed (0.6666666666666666"
+                "-0.6666666666666667j): w=(")) as info:
+            scan_singularities(2.5, 1)
+        assert "lies beyond the accuracy floor of J" in str(info.value)
 
     def test_nan_validation_drops_root(self, monkeypatch):
         calls = []
