@@ -314,19 +314,31 @@ class TestScan:
         assert keys == sorted(keys)
 
     def test_each_root_validated_once(self, monkeypatch):
-        # at (1, 100) five roots inside the disc are validated and three kept:
-        # 5.1356-0.0054i and 5.5201+0.0050i reach only |M22| ~ 5e-7 and 3e-7
-        validated = []
+        # at (2, 100) Newton reaches 6.3801-0.0056i, which the evolution
+        # rejects at |M22| ~ 3e-6, from three seeds; a rejected root counts
+        # as seen, so it is integrated once
+        solve = singularity._solve_from_seed
+        produced, validated = [], []
+
+        def producing(*args):
+            sol = solve(*args)
+            produced.append(sol.a_frak)
+            return sol
 
         def counting(sol):
-            validated.append(sol.a_frak)
-            return validate_root_ode(sol)
+            m22 = validate_root_ode(sol)
+            validated.append((sol.a_frak, m22))
+            return m22
 
+        monkeypatch.setattr(singularity, "_solve_from_seed", producing)
         monkeypatch.setattr(singularity, "validate_root_ode", counting)
-        sols = scan_singularities(1.0, 100)
+        sols = scan_singularities(2.0, 100)
         assert len(validated) > len(sols)  # some root was rejected
-        for i, a in enumerate(validated):
-            assert all(abs(a - b) >= singularity.DEDUP_TOL for b in validated[:i])
+        rejected = [a for a, m22 in validated if not m22 < SINGULARITY_EPS]
+        assert any(sum(abs(b * b - a * a) < singularity.DEDUP_TOL for b in produced) >= 2
+                   for a in rejected)  # ... and reached from two seeds or more
+        for i, (a, _) in enumerate(validated):
+            assert all(abs(a - b) >= singularity.DEDUP_TOL for b, _ in validated[:i])
 
     @pytest.mark.parametrize("gamma,m", [(1.0, 1), (0.7, 1), (0.7, 2)])
     def test_roots_beyond_the_radius_are_not_validated(self, monkeypatch, gamma, m):
@@ -342,6 +354,18 @@ class TestScan:
         monkeypatch.setattr(singularity, "validate_root_ode", recording)
         scan_singularities(gamma, m)
         assert validated and all(abs(a) <= singularity.SCAN_RADIUS for a in validated)
+
+    def test_far_root_no_longer_aborts_the_scan(self):
+        # at (6, 100) Newton reaches 22.22 from an early seed and its
+        # evolution overflows ("transfer matrix entries are not finite");
+        # beyond the radius it is not integrated, and the scan returns the
+        # two roots inside the disc
+        sols = scan_singularities(6.0, 100)
+        refs = (1.046577 + 3.363936j, 2.410589 + 2.766765j)
+        assert len(sols) == 2
+        for sol, a_ref in zip(sols, refs):
+            assert abs(sol.a_frak - a_ref) < 1e-5
+            assert validate_root_ode(sol) < SINGULARITY_EPS
 
     def test_accuracy_error_names_the_scan_and_seed(self):
         # an undamped Newton step from one seed leaves the Bessel accuracy domain
