@@ -36,11 +36,13 @@ equation so its p = 0 solution reproduces the tabulated eps0 = 4.127542;
 
 ``scan_singularities`` Newton-solves from a grid of seeds and returns the
 roots with |a| <= SCAN_RADIUS whose integrated |M22| is below
-SINGULARITY_EPS; roots Newton reaches beyond that disc are dropped without
-the (costly) ODE check.  The condition does have roots beyond the disc
-(``solve_integer_gamma`` finds them from n = 12 at m = 1), but in the scans
-checked (0.1 < gamma <= 29, m up to 1000) none the scan reached there
-validated, and no kept root lay beyond |a| = 6.6.
+SINGULARITY_EPS.  Every Newton solve runs before any (costly) ODE check:
+a root reached from several seeds is integrated once, roots beyond the
+disc never, and a scan that raises from a seed has integrated nothing.
+The condition does have roots beyond the disc (``solve_integer_gamma``
+finds them from n = 12 at m = 1), but in the scans checked
+(0.1 < gamma <= 29, m up to 1000) none the scan reached there validated,
+and no kept root lay beyond |a| = 6.6.
 """
 
 from __future__ import annotations
@@ -303,34 +305,19 @@ def validate_root_ode(sol: SingularitySolution) -> float:
     return abs(M.m22)
 
 
-def scan_singularities(gamma: float, m: int,
-                       grid: tuple[int, int] = SCAN_GRID) -> list[SingularitySolution]:
-    """Grid-seeded sweep for roots of the singularity condition.
+def _scan_candidates(condition: _Condition, gamma: float, g: float, m: int,
+                     grid: tuple[int, int]) -> list[SingularitySolution]:
+    """Newton roots from the ``grid`` seeds, one per coupling a^2, in seed order.
 
-    Seeds Newton from ``grid`` points (an argument so that perfbench's tracer
-    can count them) in the SCAN_RE_MAX by SCAN_IM_MAX box.  Newton may end
-    anywhere; a root with |a| > SCAN_RADIUS (or |a| < 1e-8) is dropped
-    before the ODE check: those are the costliest to integrate, and none
-    reached by a scan checked (0.1 < gamma <= 29, m up to 1000) validated.
-    The rest are deduplicated on their coupling a^2 (a and -a are one
-    singularity), and those whose integrated |M22| is below SINGULARITY_EPS
-    are kept.  Deterministic ordering by (Re a, Im a), with Re a rounded to
-    12 decimals so that roots on the imaginary axis, whose real parts are
-    rounding noise, are ordered by Im a.
-
-    An :class:`AccuracyError` from a Newton iterate that leaves the Bessel
-    accuracy domain propagates, prefixed with the scan's ``gamma``, ``m``
-    and the seed.
+    A seed whose Newton solve fails (:class:`ConvergenceError`,
+    :class:`NoSolutionError`, :class:`DomainError`) is skipped; an
+    :class:`AccuracyError` propagates, prefixed with the scan's ``gamma``
+    (as the caller gave it), ``m`` and the seed.  Roots with |a| outside
+    [1e-8, SCAN_RADIUS] are dropped, and a root whose coupling lies within
+    DEDUP_TOL of an earlier candidate's is dropped as a repeat.
     """
-    m = as_integer("m", m, 1)
-    g = _order(gamma)
-    try:
-        condition = _condition(g, m)
-    except NoSolutionError:
-        return []
-
     seen: list[complex] = []  # couplings a^2
-    solutions: list[SingularitySolution] = []
+    candidates: list[SingularitySolution] = []
     n_re, n_im = grid
     for i in range(n_re):
         re = SCAN_RE_MAX * (i + 1) / n_re
@@ -348,14 +335,52 @@ def scan_singularities(gamma: float, m: int,
             # Written so that a NaN |a| is dropped too.
             if not 1e-8 <= abs(sol.a_frak) <= SCAN_RADIUS:
                 continue
-            # Rejected roots count as seen too, so none is validated twice.
             coupling = sol.a_frak * sol.a_frak
             if any(abs(coupling - c) < DEDUP_TOL for c in seen):
                 continue
             seen.append(coupling)
-            # Written so that a NaN |M22| counts as not validated.
-            if not validate_root_ode(sol) < SINGULARITY_EPS:
-                continue
+            candidates.append(sol)
+    return candidates
+
+
+def scan_singularities(gamma: float, m: int,
+                       grid: tuple[int, int] = SCAN_GRID) -> list[SingularitySolution]:
+    """Grid-seeded sweep for roots of the singularity condition.
+
+    Runs in two phases.  First Newton is seeded from every ``grid`` point
+    (an argument so that perfbench's tracer can count them) in the
+    SCAN_RE_MAX by SCAN_IM_MAX box.  Newton may end anywhere; a root with
+    |a| > SCAN_RADIUS (or |a| < 1e-8) is dropped, since none reached by a
+    scan checked (0.1 < gamma <= 29, m up to 1000) validated, and the rest
+    are deduplicated on their coupling a^2 (a and -a are one singularity).
+    Then each remaining candidate is integrated once, and those whose
+    |M22| is below SINGULARITY_EPS are kept; an evolution that raises
+    :class:`ConvergenceError` (a failed cell solve, entries that overflow)
+    or gives NaN rejects only its own candidate.  Deterministic ordering by
+    (Re a, Im a), with Re a rounded to 12 decimals so that roots on the
+    imaginary axis, whose real parts are rounding noise, are ordered by
+    Im a.
+
+    An :class:`AccuracyError` from a Newton iterate that leaves the Bessel
+    accuracy domain propagates, prefixed with the scan's ``gamma``, ``m``
+    and the seed.  Every Newton solve runs before any ODE check, so a scan
+    that raises has integrated nothing.
+    """
+    m = as_integer("m", m, 1)
+    g = _order(gamma)
+    try:
+        condition = _condition(g, m)
+    except NoSolutionError:
+        return []
+
+    solutions: list[SingularitySolution] = []
+    for sol in _scan_candidates(condition, gamma, g, m, grid):
+        try:
+            m22 = validate_root_ode(sol)
+        except ConvergenceError:  # the evolution failed or overflowed
+            continue
+        # Written so that a NaN |M22| counts as not validated.
+        if m22 < SINGULARITY_EPS:
             solutions.append(sol)
     solutions.sort(key=lambda s: (round(s.a_frak.real, 12), s.a_frak.imag))
     return solutions

@@ -375,6 +375,49 @@ class TestScan:
             scan_singularities(2.5, 1)
         assert "lies beyond the accuracy floor of J" in str(info.value)
 
+    @pytest.mark.parametrize("gamma,m", [(2.5, 1), (2.0, 1)])
+    def test_raising_scan_runs_no_ode_check(self, monkeypatch, gamma, m):
+        # both scans reach roots inside the disc before a later seed's
+        # Newton leaves the Bessel accuracy domain; every Newton solve runs
+        # before any ODE check, so none of those roots is integrated
+        solve = singularity._solve_from_seed
+        produced, calls = [], []
+
+        def producing(*args):
+            sol = solve(*args)
+            produced.append(sol.a_frak)
+            return sol
+
+        def counting(sol):
+            calls.append(sol.a_frak)
+            return validate_root_ode(sol)
+
+        monkeypatch.setattr(singularity, "_solve_from_seed", producing)
+        monkeypatch.setattr(singularity, "validate_root_ode", counting)
+        with pytest.raises(AccuracyError, match=re.escape(
+                f"scan_singularities(gamma={gamma!r}, m={m}) from seed (")):
+            scan_singularities(gamma, m)
+        assert any(abs(a) <= singularity.SCAN_RADIUS for a in produced)
+        assert calls == []
+
+    def test_ode_check_failure_drops_only_that_root(self, monkeypatch):
+        # an evolution that overflows ("transfer matrix entries are not
+        # finite") rejects its own root, as a NaN |M22| does, and the scan
+        # goes on to validate the rest
+        expected = scan_singularities(1.0, 1)
+        assert len(expected) == 5
+        failing = expected[2].a_frak
+
+        def overflowing(sol):
+            if sol.a_frak == failing:
+                raise ConvergenceError("transfer matrix entries are not finite")
+            return validate_root_ode(sol)
+
+        monkeypatch.setattr(singularity, "validate_root_ode", overflowing)
+        sols = scan_singularities(1.0, 1)
+        assert [s.a_frak for s in sols] == [s.a_frak for s in expected
+                                            if s.a_frak != failing]
+
     def test_nan_validation_drops_root(self, monkeypatch):
         calls = []
 
