@@ -216,7 +216,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def _json_artifact(payload: dict) -> str:
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _sweep_json(data: SweepData) -> str:
@@ -228,13 +228,22 @@ def _sweep_json(data: SweepData) -> str:
     return _json_artifact({"rows": rows})
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _scenario(args: argparse.Namespace, kind: str) -> tuple[dict, dict]:
+    """The scenario of ``--scenario`` and its analysis block, a ``kind`` query.
+
+    Sweep and classify scenarios must also have a potential block.
+    """
     scenario = _load_scenario(args.scenario)
     analysis = scenario["analysis"]
-    if analysis["type"] != "sweep":
-        raise _SchemaError("scenario analysis block is not a sweep")
-    if "potential" not in scenario:
-        raise _SchemaError("sweep scenario needs a potential block")
+    if analysis["type"] != kind:
+        raise _SchemaError(f"scenario analysis block is not a {kind} query")
+    if kind in ("sweep", "classify") and "potential" not in scenario:
+        raise _SchemaError(f"{kind} scenario needs a potential block")
+    return scenario, analysis
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    scenario, analysis = _scenario(args, "sweep")
     block = scenario["potential"]
     lambdas = np.linspace(analysis["lambda_min_nm"], analysis["lambda_max_nm"],
                           analysis["samples"])
@@ -264,10 +273,7 @@ def cmd_singularity(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.scenario:
         raise _SchemaError("singularity needs --scenario or --table1")
-    scenario = _load_scenario(args.scenario)
-    analysis = scenario["analysis"]
-    if analysis["type"] != "singularity":
-        raise _SchemaError("scenario analysis block is not a singularity query")
+    scenario, analysis = _scenario(args, "singularity")
     mode = analysis["mode"]
     try:
         if mode == "integer":
@@ -289,30 +295,27 @@ def cmd_singularity(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    analysis = scenario["analysis"]
-    if analysis["type"] != "classify":
-        raise _SchemaError("scenario analysis block is not a classify query")
-    if "potential" not in scenario:
-        raise _SchemaError("classify scenario needs a potential block")
+    scenario, analysis = _scenario(args, "classify")
     spec, pinned_gamma = _potential_from_block(scenario["potential"])
     gamma = analysis.get("gamma", pinned_gamma)
     if gamma is None:
         raise _SchemaError("classify needs gamma (in the analysis or eps0 block)")
     k = gamma * spec.k0
     verdict = classify(wave_context(spec, k))
+    # At a spectral singularity the witnesses are infinite; JSON has no
+    # token for that, so they are written null.
+    witnesses = [v if math.isfinite(v) else None for v in verdict.witnesses]
     payload = {
         "kind": verdict.kind.value,
         "mechanism": verdict.mechanism.value,
-        "witnesses": {
-            "abs_R_left": verdict.abs_r_left,
-            "abs_R_right": verdict.abs_r_right,
-            "abs_T_minus_1": verdict.abs_t_minus_1,
-        },
+        "witnesses": dict(zip(("abs_R_left", "abs_R_right", "abs_T_minus_1"),
+                              witnesses)),
         "gamma": gamma,
     }
-    if verdict.inconsistency is not None:
-        payload["inconsistency"] = verdict.inconsistency
+    inconsistency = verdict.inconsistency
+    if inconsistency is not None:
+        inconsistency = {**inconsistency, "witnesses": witnesses}
+        payload["inconsistency"] = inconsistency
     if args.json:
         _emit(_json_artifact(payload), _output_path(scenario, args))
     else:
@@ -321,19 +324,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
                  f"|R_left| = {verdict.abs_r_left:.6e}",
                  f"|R_right| = {verdict.abs_r_right:.6e}",
                  f"|T - 1| = {verdict.abs_t_minus_1:.6e}"]
-        if verdict.inconsistency is not None:
-            lines.append("INCONSISTENCY: " + json.dumps(verdict.inconsistency,
-                                                        sort_keys=True))
+        if inconsistency is not None:
+            lines.append("INCONSISTENCY: " + json.dumps(inconsistency, sort_keys=True))
         _emit("\n".join(lines) + "\n", _output_path(scenario, args))
-    return EXIT_INCONSISTENT if verdict.inconsistency is not None else EXIT_OK
+    return EXIT_INCONSISTENT if inconsistency is not None else EXIT_OK
 
 
 def cmd_design(args: argparse.Namespace) -> int:
     if args.scenario:
-        scenario = _load_scenario(args.scenario)
-        analysis = scenario["analysis"]
-        if analysis["type"] != "design":
-            raise _SchemaError("scenario analysis block is not a design query")
+        scenario, analysis = _scenario(args, "design")
         gamma, side, zero = analysis["gamma"], analysis["side"], analysis["zero"]
         out = _output_path(scenario, args)
     else:
@@ -355,15 +354,13 @@ def cmd_design(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, seed=args.seed)
     print(f"scatter1d validate: suite={args.suite} seed={args.seed:#x}")
-    failed = False
     for rep in reports:
         for res in rep.results:
             status = "PASS" if res.passed else "FAIL"
             print(f"  [{status}] {rep.suite}/{res.name}: {res.detail}")
-            failed = failed or not res.passed
         for key, record in rep.records.items():
             print(f"  [info] {rep.suite}/{key}: {json.dumps(record, sort_keys=True)}")
-    return EXIT_SUITE_FAILED if failed else EXIT_OK
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_SUITE_FAILED
 
 
 def _zero_selector(text: str):

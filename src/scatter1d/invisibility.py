@@ -33,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .analytic import amplitudes_analytic, amplitudes_analytic_array
-from .bessel import bessel_j, imaginary_zeros, in_hurwitz_band, real_zeros
+from .bessel import bessel_j, imaginary_zeros, real_zeros
 from .errors import (DomainError, NoSolutionError, Scatter1dError,
                      SpectralSingularityError)
 from .potential import (PotentialSpec, WaveContext, as_integer, from_permittivity,
@@ -197,12 +197,11 @@ def design_unidirectional(gamma: float, side: str,
         raise DomainError("side must be 'left' or 'right'")
     order = -gamma + 1.0 if side == "left" else gamma + 1.0
     if zero_selector == "imaginary_pair":
-        if not in_hurwitz_band(order):
+        pair = imaginary_zeros(order)
+        if pair is None:
             raise NoSolutionError(
                 f"J_{order:g} has no purely imaginary zeros; for side='left' "
                 "they require gamma in (2p, 2p+1) with p >= 1")
-        pair = imaginary_zeros(order)
-        assert pair is not None
         rho = pair[0].location
     elif (isinstance(zero_selector, numbers.Integral)
           and not isinstance(zero_selector, bool)):

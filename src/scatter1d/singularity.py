@@ -48,7 +48,6 @@ and no kept root lay beyond |a| = 6.6.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -261,33 +260,27 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
     """Real-permittivity root of the printed half-integer closed form.
 
     Requires odd m (for even m the interference factor makes the condition
-    unsatisfiable).  Scans the imaginary-a axis below W_MAX (eps0 > 1) and
-    the real-a segment below gamma (eps0 in (0,1)) for sign changes and
-    refines the first root found; see the module docstring for the
-    factor-2 caveat against the general condition.
+    unsatisfiable).  Scans the imaginary-a axis below W_MAX for sign
+    changes and refines the first root found; on a = ib the residual is
+    real and eps0 = 1 + b^2/gamma^2 > 1.  The orders reachable are
+    p = 0...28 (from p = 29 on, J_{p+3/2} exceeds NU_MAX and the call raises
+    :class:`DomainError`): every even p has its root on this axis, and every
+    odd p raises :class:`NoSolutionError`.  The real-a segment below gamma
+    (0 < eps0 < 1) holds no root for any of them.  See the module docstring
+    for the factor-2 caveat against the general condition.
     """
     p, m = as_integer("p", p, 0), as_integer("m", m, 1)
     if m % 2 == 0:
         raise DomainError("the half-integer closed form requires odd m")
     gamma = p + 0.5
-
-    # Imaginary axis a = ib, then the real axis below gamma (eps0 stays
-    # positive there); the residual is real on both.
-    imag_grid = np.arange(1e-3, W_MAX, HALF_INTEGER_SCAN_STEP).tolist()
-    real_grid = (1e-3 + (gamma - 1e-9 - 1e-3) * i / 200 for i in range(201))
-    roots = itertools.chain(
-        (1j * b for b in _bracketed_roots(
-            lambda b: half_integer_residual(p, 1j * b).real, imag_grid)),
-        (complex(t) for t in _bracketed_roots(
-            lambda t: half_integer_residual(p, complex(t)).real, real_grid)))
-    for root in roots:
-        eps0 = _eps0_of(root, gamma)
-        if abs(eps0.imag) < 1e-12 and eps0.real > 0:
-            residual = abs(half_integer_residual(p, root))
-            if residual > RESIDUAL_TOL:
-                raise ConvergenceError(f"half-integer root residual {residual:.2e}")
-            return SingularitySolution(a_frak=_canonical(root), eps0=eps0,
-                                       gamma=gamma, m=m, residual=residual)
+    grid = np.arange(1e-3, W_MAX, HALF_INTEGER_SCAN_STEP).tolist()
+    for b in _bracketed_roots(lambda b: half_integer_residual(p, 1j * b).real, grid):
+        root = 1j * b
+        residual = abs(half_integer_residual(p, root))
+        if residual > RESIDUAL_TOL:
+            raise ConvergenceError(f"half-integer root residual {residual:.2e}")
+        return SingularitySolution(a_frak=root, eps0=_eps0_of(root, gamma),
+                                   gamma=gamma, m=m, residual=residual)
     raise NoSolutionError(
         f"no real positive-eps0 solution of the half-integer form for p={p} "
         f"within the scanned window (0, {W_MAX})")

@@ -19,8 +19,6 @@ from .errors import DomainError
 
 DEFAULT_SEED = 0x5EED
 
-SUITES = ("bessel", "transfer", "analytic")
-
 #: Random configurations drawn by ``transfer_suite``.
 TRANSFER_ENSEMBLE = 30
 
@@ -277,13 +275,15 @@ def analytic_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     return rep
 
 
+#: Suite name -> suite function, in the order ``"all"`` runs them.
+_SUITE_RUNNERS = {"bessel": bessel_suite, "transfer": transfer_suite,
+                  "analytic": analytic_suite}
+SUITES = tuple(_SUITE_RUNNERS)
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[SuiteReport]:
     if name == "all":
-        return [bessel_suite(seed), transfer_suite(seed), analytic_suite(seed)]
-    if name == "bessel":
-        return [bessel_suite(seed)]
-    if name == "transfer":
-        return [transfer_suite(seed)]
-    if name == "analytic":
-        return [analytic_suite(seed)]
-    raise DomainError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+        return [run(seed) for run in _SUITE_RUNNERS.values()]
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+    return [_SUITE_RUNNERS[name](seed)]

@@ -2,11 +2,12 @@ import cmath
 import math
 import random
 import types
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scatter1d import bessel
@@ -452,6 +453,10 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(nu=st.floats(min_value=-9, max_value=9), re=coords, im=coords)
     def test_recurrence_residual(self, nu, re, im):
+        # The identity links orders exactly 1 apart; at nu = -7.999999999999999
+        # nu - 1 rounds to -9.0, which would test it at orders that are not.
+        assume(Fraction(nu - 1.0) == Fraction(nu) - 1
+               and Fraction(nu + 1.0) == Fraction(nu) + 1)
         w = complex(re, im)
         if abs(w) < 1e-3:
             return

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -12,10 +13,34 @@ import jsonschema
 import pytest
 
 import scatter1d
+from scatter1d import cli
 from scatter1d.cli import (EXIT_INCONSISTENT, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_SCHEMA, SCENARIO_SCHEMA, build_parser, main)
+from scatter1d.invisibility import InvisibilityVerdict, Mechanism, VerdictKind
+from scatter1d.singularity import solve_integer_gamma
 
 DESIGN_EPS0 = 1.0061426168124073
+DESIGN_BLOCK = {"eps0_re": DESIGN_EPS0, "eps0_im": 0.0, "m": 243, "L_um": 260.0,
+                "gamma": 2.0062}
+
+# One scenario of each command that reads one.
+SCENARIOS = {
+    "sweep": {"potential": DESIGN_BLOCK,
+              "analysis": {"type": "sweep", "lambda_min_nm": 1050.0,
+                           "lambda_max_nm": 1080.0, "samples": 5}},
+    "singularity": {"analysis": {"type": "singularity", "mode": "half_integer",
+                                 "p": 0, "m": 1}},
+    "classify": {"potential": DESIGN_BLOCK, "analysis": {"type": "classify"}},
+    "design": {"analysis": {"type": "design", "gamma": 2.0062, "side": "left",
+                            "zero": "imaginary_pair"}},
+}
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which RFC 8259 lacks."""
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def write(path, doc):
@@ -88,6 +113,22 @@ class TestSweep:
         assert main(["sweep", "--scenario", scen]) == EXIT_NUMERICAL
         assert ("lambda = 1050.000000 nm: gamma must be finite, got inf"
                 in capsys.readouterr().err)
+
+    def test_spectral_singularity_exits_3(self, tmp_path, capsys):
+        # k0 = 2 pi/um, so 1000 nm is gamma = 1, where the Table-1 root for
+        # m = 100 is a pole of the amplitudes
+        a = solve_integer_gamma(1, 100).a_frak
+        coupling = (2.0 * math.pi * a) ** 2
+        scen = write(tmp_path / "scen.json", {
+            "potential": {"coupling_re": coupling.real, "coupling_im": coupling.imag,
+                          "m": 100, "L_um": 50.0},
+            "analysis": {"type": "sweep", "lambda_min_nm": 999.0,
+                         "lambda_max_nm": 1001.0, "samples": 3},
+        })
+        assert main(["sweep", "--scenario", scen]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: lambda = 1000.000000 nm: ")
+        assert "spectral singularity" in err
 
 
 class TestSingularity:
@@ -229,6 +270,28 @@ class TestClassify:
         assert rc == EXIT_NUMERICAL
         assert "nu=-24.5" in capsys.readouterr().err
 
+    def test_pole_witnesses_are_json_null(self, tmp_path, capsys):
+        # the Table-1 root for m = 100 at gamma = 1: every witness is infinite
+        a = solve_integer_gamma(1, 100).a_frak
+        rc = self.classify_rc(tmp_path, (100.0 * a) ** 2, 100, math.pi, 1.0)
+        doc = strict_json(capsys.readouterr().out)
+        assert rc == EXIT_OK and doc["kind"] == "visible"
+        assert doc["witnesses"] == {"abs_R_left": None, "abs_R_right": None,
+                                    "abs_T_minus_1": None}
+
+    def test_inconsistency_witnesses_are_json_null(self, tmp_path, monkeypatch, capsys):
+        verdict = InvisibilityVerdict(
+            kind=VerdictKind.VISIBLE, mechanism=Mechanism.BESSEL_ZERO_LEFT,
+            abs_r_left=math.inf, abs_r_right=0.5, abs_t_minus_1=math.inf,
+            inconsistency={"type": "predicate_witness_mismatch",
+                           "witnesses": [math.inf, 0.5, math.inf]})
+        monkeypatch.setattr(cli, "classify", lambda ctx: verdict)
+        rc = self.classify_rc(tmp_path, complex(0.09), 1, math.pi, 1.0)
+        doc = strict_json(capsys.readouterr().out)
+        assert rc == EXIT_INCONSISTENT
+        assert doc["inconsistency"]["witnesses"] == [None, 0.5, None]
+        assert doc["witnesses"]["abs_R_right"] == 0.5
+
     def test_predicate_witness_mismatch_exits_4(self, tmp_path, capsys):
         # a sits 1.5e-8 off the first zero of J_2 on a slab with m large
         # enough that the residual amplitudes are decisively visible: the
@@ -277,6 +340,33 @@ class TestDesign:
         rc = main(["design", "--scenario", scen])
         doc = json.loads(capsys.readouterr().out)
         assert rc == EXIT_OK and doc["side"] == "left"
+
+
+class TestScenarioErrors:
+    """Scenarios that pass the schema but do not fit their command exit 2."""
+
+    @pytest.mark.parametrize("command,kind", itertools.permutations(SCENARIOS, 2))
+    def test_another_commands_scenario(self, command, kind, tmp_path, capsys):
+        scen = write(tmp_path / "s.json", SCENARIOS[kind])
+        assert main([command, "--scenario", scen]) == EXIT_SCHEMA
+        assert (f"scenario error: scenario analysis block is not a {command} query"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["sweep", "classify"])
+    def test_missing_potential_block(self, command, tmp_path, capsys):
+        scen = write(tmp_path / "s.json", {"analysis": SCENARIOS[command]["analysis"]})
+        assert main([command, "--scenario", scen]) == EXIT_SCHEMA
+        assert (f"scenario error: {command} scenario needs a potential block"
+                in capsys.readouterr().err)
+
+    def test_classify_coupling_form_needs_gamma(self, tmp_path, capsys):
+        scen = write(tmp_path / "s.json", {
+            "potential": {"coupling_re": 0.09, "coupling_im": 0.0, "m": 1,
+                          "L_um": math.pi},
+            "analysis": {"type": "classify"},
+        })
+        assert main(["classify", "--scenario", scen]) == EXIT_SCHEMA
+        assert "scenario error: classify needs gamma" in capsys.readouterr().err
 
 
 class TestValidate:

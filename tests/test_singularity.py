@@ -251,6 +251,9 @@ class TestHalfIntegerPrintedForm:
             solve_half_integer(0, 2)
         with pytest.raises(DomainError):
             solve_half_integer(-1, 1)
+        # from p = 29 on the form needs J_{p+3/2} beyond NU_MAX = 30
+        with pytest.raises(DomainError, match=re.escape("|nu|=30.5 exceeds")):
+            solve_half_integer(29, 1)
 
     def test_integral_values_accepted(self):
         assert solve_half_integer(0.0, 1) == solve_half_integer(0, 1)
@@ -278,19 +281,21 @@ class TestHalfIntegerPrintedForm:
         got = half_integer_residual(p, a) + (-1) ** p * (2 * p + 1)
         assert abs(got - lhs) <= 1e-12 * abs(lhs)
 
-    @pytest.mark.parametrize("p", [4, 8, 18, 20])
+    @pytest.mark.parametrize("p", range(0, 29, 2))
     def test_higher_orders_solve_the_printed_form(self, p):
-        # an upward spherical Bessel recurrence loses every digit near a = 0
-        # at these orders, and the roots of p = 18 and 20 (12.7411i and
-        # 14.0664i) lie beyond |a| = 12; check the root against mpmath's
+        # every even p the solver reaches has its root on the imaginary
+        # axis; an upward spherical Bessel recurrence loses every digit near
+        # a = 0 at the higher orders, and the roots from p = 18 on (12.7411i
+        # and up) lie beyond |a| = 12; check the root against mpmath's
         # J_{p+3/2} J_{1/2-p}
         sol = solve_half_integer(p, 1)
+        assert sol.a_frak.real == 0.0 and sol.a_frak.imag > 0.0
         assert sol.eps0.imag == 0.0 and sol.eps0.real > 1.0
         a = mp.mpc(sol.a_frak)
         lhs = 2 * mp.pi * a ** 2 * mp.besselj(p + 1.5, a) * mp.besselj(0.5 - p, a)
         assert abs(complex(lhs) - (-1) ** p * (2 * p + 1)) < 1e-10
 
-    @pytest.mark.parametrize("p", [1, 19])
+    @pytest.mark.parametrize("p", range(1, 28, 2))
     def test_odd_orders_have_no_real_root(self, p):
         with pytest.raises(NoSolutionError):
             solve_half_integer(p, 1)
@@ -307,6 +312,10 @@ class TestScan:
         for s in sols:
             assert validate_root_ode(s) < 1e-6
             assert abs(s.a_frak) > 1e-8
+
+    def test_no_singularity_where_mu_vanishes(self):
+        # gamma = 1/2, m = 2: kL is a multiple of pi, T = 1 identically
+        assert scan_singularities(0.5, 2) == []
 
     def test_deterministic_ordering(self):
         sols = scan_singularities(1.0, 100)
