@@ -7,7 +7,7 @@ internal consistency oracle), real-axis zeros and the Hurwitz pair of
 purely imaginary zeros.  The zero searches bracket sign changes of J_nu on
 the real axis (``scipy.special.jv``) and of I_nu on the imaginary one
 (``scipy.special.iv``) and refine them with ``scipy.optimize.brentq``,
-which is imported on the first refinement.
+which :func:`_bracketed_roots` imports on its first refinement.
 
 Wrapper rules
 -------------
@@ -47,7 +47,6 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 from scipy.special import iv, jv
 
-from ._deferred import brentq
 from .errors import AccuracyError, ConvergenceError, DomainError
 
 #: Largest |w| accepted.  Everything the scattering formulas need stays
@@ -220,6 +219,7 @@ def _bracketed_roots(func: Callable[[float], float],
         if ft == 0.0:
             yield t
         elif prev_f is not None and prev_f * ft < 0.0:
+            from scipy.optimize import brentq
             root, info = brentq(func, prev_t, t, xtol=1e-300, rtol=4.0 * _EPS,
                                 full_output=True, disp=False)
             if not info.converged:
@@ -276,23 +276,21 @@ def imaginary_zeros(nu: float) -> Optional[tuple[BesselZero, BesselZero]]:
 
     On the imaginary axis J_nu(iy)/(iy/2)^nu = I_nu(y)/(y/2)^nu, real and
     taken from ``scipy.special.iv``.  In a Hurwitz band this profile starts
-    negative (1/Gamma(nu+1) < 0) and grows without bound, so its one zero
-    is bracketed on the geometric grid y = 1e-4 * 1.25^i below y = 45 and
-    refined by Brent's method.
+    negative (1/Gamma(nu+1) < 0), grows without bound and has exactly one
+    positive zero (Hurwitz 1889; Watson, sec. 15.27), so the window
+    1e-4 <= y <= W_MAX is one bracket, refined by Brent's method.
     """
     nu = float(nu)
     if not in_hurwitz_band(nu):
         return None
-    # i = 59 is the first grid point past y = 45; it closes the last bracket
-    grid = (1e-4 * 1.25 ** i for i in range(60))
-    for root in _bracketed_roots(lambda y: iv(nu, y) / (0.5 * y) ** nu, grid):
+    for root in _bracketed_roots(lambda y: iv(nu, y) / (0.5 * y) ** nu, (1e-4, W_MAX)):
         loc = complex(0.0, root)
         plus = BesselZero(order=nu, location=loc,
                           kind=ZeroKind.IMAGINARY_AXIS, index=1)
         minus = BesselZero(order=nu, location=-loc,
                            kind=ZeroKind.IMAGINARY_AXIS, index=1)
         return (plus, minus)
-    raise ConvergenceError(f"imaginary zero of J_{nu} not found below y=45")
+    raise ConvergenceError(f"imaginary zero of J_{nu} not found in [1e-4, {W_MAX}]")
 
 
 def identity_residuals(nu: float, w: complex) -> IdentityResiduals:

@@ -373,6 +373,14 @@ def _zero_selector(text: str):
         f"expected a positive integer or 'imaginary_pair', got {text!r}")
 
 
+def _gamma(text: str) -> float:
+    """``--gamma``: a positive finite number, as the scenario schema requires."""
+    gamma = float(text)
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return gamma
+
+
 def _seed(text: str) -> int:
     """``--seed``: a non-negative integer, in any base ``int(text, 0)`` reads."""
     seed = int(text, 0)
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="coupling/permittivity for one-sided invisibility")
     p.add_argument("--scenario")
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma", type=_gamma)
     p.add_argument("--side", choices=["left", "right"])
     p.add_argument("--zero", type=_zero_selector, default="imaginary_pair",
                    help="1-based real-zero index or 'imaginary_pair'")

@@ -191,8 +191,8 @@ def design_unidirectional(gamma: float, side: str,
     purely imaginary pair (left side, gamma in (2p, 2p+1) with p >= 1, the
     case realizable with an ordinary eps0 > 1 material).
     """
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
     if side not in ("left", "right"):
         raise DomainError("side must be 'left' or 'right'")
     order = -gamma + 1.0 if side == "left" else gamma + 1.0

@@ -7,12 +7,12 @@ under a shift by d when v is, so the whole support is crossed by Phi^m,
 m = ``cells``, with no phase correction; one 4-component solve then serves
 both incidence directions, matched to plane waves at the edges.  The
 coefficient evolution in :mod:`scatter1d.transfer` runs on the same scipy
-integrator, imported on the first solve; this route stays independent of
-it in the equation (psi and psi' here, the coefficient pair (A, B) there)
-and in the plane-wave matching, and takes from it only the potential and
-amplitude data types.
+integrator; this route stays independent of it in the equation (psi and
+psi' here, the coefficient pair (A, B) there) and in the plane-wave
+matching, and takes from it only the potential and amplitude data types.
 The two must agree to integration tolerance and are cross-checked in the
-validation suites.
+validation suites.  :func:`shooting_amplitudes` imports ``scipy.integrate``
+on its first solve.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import cmath
 
 import numpy as np
 
-from ._deferred import solve_ivp
 from .errors import ConvergenceError
 from .potential import check_wavenumber
 from .transfer import SampledPotential, ScatteringAmplitudes
@@ -47,6 +46,7 @@ def shooting_amplitudes(pot: SampledPotential, k: float) -> ScatteringAmplitudes
         return [y[2], y[3], q * y[0], q * y[1]]
 
     # Phi = [[psi_1, psi_2], [psi_1', psi_2']], row-major, from the identity
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (a_lo, a_lo + (a_hi - a_lo) / cells),
                     np.array([1, 0, 0, 1], dtype=complex),
                     method="DOP853", rtol=RTOL, atol=ATOL)

@@ -52,8 +52,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .bessel import NU_MAX, W_MAX, _bracketed_roots, bessel_j
 from .errors import AccuracyError, ConvergenceError, DomainError, NoSolutionError
 from .potential import PotentialSpec, as_integer, mu_factor, snap_gamma
@@ -64,8 +62,6 @@ RESIDUAL_TOL = 1e-10
 #: Distance in the coupling a^2 below which two roots are considered the
 #: same (the condition is even in a, so a and -a are one singularity).
 DEDUP_TOL = 1e-6
-#: Grid step along the imaginary-a window (0, W_MAX) of ``solve_half_integer``.
-HALF_INTEGER_SCAN_STEP = 0.03
 #: Seed box 0 < Re a <= SCAN_RE_MAX, |Im a| <= SCAN_IM_MAX, SCAN_GRID seeds.
 SCAN_RE_MAX = SCAN_IM_MAX = 2.0
 SCAN_GRID = (6, 7)
@@ -190,10 +186,24 @@ def _order(gamma: float) -> float:
 
 
 def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
-    """Newton solve of the full singularity condition from ``seed``, at any gamma > 0."""
+    """Newton solve of the full singularity condition from ``seed``, at any gamma > 0.
+
+    Raises :class:`DomainError` if the condition cannot be evaluated at
+    ``seed``, and :class:`ConvergenceError` if Newton fails, including when an
+    iterate leaves the Bessel domain; both name ``gamma``, ``m`` and ``seed``.
+    """
     m = as_integer("m", m, 1)
     g = _order(gamma)
-    return _solve_from_seed(_condition(g, m), g, m, seed)
+    f_df, scale = _condition(g, m)
+    where = f"gamma={g!r}, m={m}, seed={seed!r}"
+    try:
+        f_df(complex(seed))
+    except (DomainError, AccuracyError, ZeroDivisionError) as exc:
+        raise DomainError(f"{where}: condition not evaluable at the seed: {exc}") from exc
+    try:
+        return _solve_from_seed((f_df, scale), g, m, seed)
+    except (DomainError, AccuracyError) as exc:
+        raise ConvergenceError(f"{where}: Newton left the Bessel domain: {exc}") from exc
 
 
 def _integer_order(n: int) -> int:
@@ -260,12 +270,13 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
     """Real-permittivity root of the printed half-integer closed form.
 
     Requires odd m (for even m the interference factor makes the condition
-    unsatisfiable).  Scans the imaginary-a axis below W_MAX for sign
-    changes and refines the first root found; on a = ib the residual is
-    real and eps0 = 1 + b^2/gamma^2 > 1.  The orders reachable are
-    p = 0...28 (from p = 29 on, J_{p+3/2} exceeds NU_MAX and the call raises
-    :class:`DomainError`): every even p has its root on this axis, and every
-    odd p raises :class:`NoSolutionError`.  The real-a segment below gamma
+    unsatisfiable).  On a = ib the residual is real and
+    eps0 = 1 + b^2/gamma^2 > 1.  The orders reachable are p = 0...28 (from
+    p = 29 on, J_{p+3/2} exceeds NU_MAX and the call raises
+    :class:`DomainError`): every even p has exactly one root on this axis in
+    1e-3 <= b <= W_MAX, so that window is one bracket refined by Brent's
+    method, and every odd p has none (same-sign ends) and raises
+    :class:`NoSolutionError`.  The real-a segment below gamma
     (0 < eps0 < 1) holds no root for any of them.  See the module docstring
     for the factor-2 caveat against the general condition.
     """
@@ -273,8 +284,8 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
     if m % 2 == 0:
         raise DomainError("the half-integer closed form requires odd m")
     gamma = p + 0.5
-    grid = np.arange(1e-3, W_MAX, HALF_INTEGER_SCAN_STEP).tolist()
-    for b in _bracketed_roots(lambda b: half_integer_residual(p, 1j * b).real, grid):
+    for b in _bracketed_roots(lambda b: half_integer_residual(p, 1j * b).real,
+                              (1e-3, W_MAX)):
         root = 1j * b
         residual = abs(half_integer_residual(p, root))
         if residual > RESIDUAL_TOL:

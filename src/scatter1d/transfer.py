@@ -24,8 +24,8 @@ composition.
 
 Every evolution runs on scipy's ``solve_ivp`` with the 8th-order
 Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.10), rtol = atol = 0.05 tol; ``scipy.integrate`` is imported on
-the first evolution.  The shooting oracle in
+sec. II.10), rtol = atol = 0.05 tol; :func:`_evolve` imports
+``scipy.integrate`` on the first evolution.  The shooting oracle in
 :mod:`scatter1d.shooting` uses the same integrator on a different equation
 (the second-order one for psi) with plane-wave matching at the edges.
 """
@@ -39,7 +39,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._deferred import solve_ivp
 from .errors import (ConvergenceError, DegenerateDenominatorError, DomainError,
                      NearZeroError, SpectralSingularityError)
 from .potential import PotentialSpec, as_integer, check_wavenumber, evaluate_potential
@@ -130,6 +129,7 @@ def _evolve(rhs: Callable[[float, np.ndarray], Sequence[complex]],
 
     Raises :class:`ConvergenceError` naming ``k`` if the solve fails.
     """
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (x0, x1), np.array(y0, dtype=complex),
                     method="DOP853", rtol=0.05 * tol, atol=0.05 * tol)
     if not sol.success:

@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.special import iv
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -304,6 +306,27 @@ class TestImaginaryZeros:
         assert imaginary_zeros(-2.5) is None
         assert imaginary_zeros(-3.0) is None
 
+    @pytest.mark.parametrize("nu", [-1.5 - 2.0 * p for p in range(15)] + [-69.9])
+    def test_window_is_one_bracket(self, nu):
+        # one order per Hurwitz band down to (-30, -29), and one beyond
+        # NU_MAX: the profile has opposite signs at the window's ends, and
+        # the one zero between them matches the root of the 30-digit
+        # Gamma(nu+1) I_nu(y)/(y/2)^nu = 0F1(; nu+1; y^2/4)
+        def profile(y):
+            return iv(nu, y) / (0.5 * y) ** nu
+
+        assert profile(1e-4) < 0.0 < profile(W_MAX)
+        y = imaginary_zeros(nu)[0].location.imag
+        with mp.workdps(30):
+            ref = mp.findroot(lambda t: mp.hyp0f1(nu + 1, t * t / 4), mp.mpf(y),
+                              verify=False)
+            assert abs(y - ref) <= 1e-15 * ref
+
+    def test_window_reaches_past_45(self):
+        plus, _ = imaginary_zeros(-69.9)
+        assert plus.location.real == 0.0
+        assert abs(plus.location.imag - 46.1931) < 1e-4
+
     @pytest.mark.parametrize("nu", [-1.0062, -1.5, -1.9999, -3.2, -5.7])
     def test_against_dense_scan_oracle(self, nu):
         # independent check: high-precision scan of |J_nu(iy)| on a grid,
@@ -351,7 +374,7 @@ class TestBracketedRoots:
             return 0.5 * (a + b), types.SimpleNamespace(converged=False,
                                                         flag="convergence error")
 
-        monkeypatch.setattr(bessel, "brentq", stalled)
+        monkeypatch.setattr(scipy.optimize, "brentq", stalled)
         with pytest.raises(ConvergenceError, match="Brent"):
             real_zeros(0.0, 1)
 

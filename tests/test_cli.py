@@ -332,6 +332,15 @@ class TestDesign:
         assert exc.value.code == EXIT_SCHEMA
         assert "argument --zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf", "abc"])
+    def test_bad_gamma_is_usage_error(self, gamma, capsys):
+        # the scenario schema refuses the same gamma (exclusiveMinimum 0,
+        # finite numbers only) with the same exit code
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--gamma", gamma, "--side", "left"])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "argument --gamma" in capsys.readouterr().err
+
     def test_scenario_interface(self, tmp_path, capsys):
         scen = write(tmp_path / "d.json", {
             "analysis": {"type": "design", "gamma": 2.0062,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -194,6 +195,13 @@ class TestDesign:
         for selector in (True, 2.0, np.int64(0)):
             with pytest.raises(DomainError):
                 design_unidirectional(0.8, "right", selector)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_gamma_must_be_positive_and_finite(self, gamma, side):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"gamma must be positive and finite, got {gamma!r}")):
+            design_unidirectional(gamma, side, "imaginary_pair")
 
     def test_numpy_integer_zero_index(self):
         assert design_unidirectional(0.8, "right", np.int64(2)) \

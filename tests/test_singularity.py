@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scatter1d import bessel, singularity
-from scatter1d.bessel import bessel_j
+from scatter1d.bessel import W_MAX, bessel_j
 from scatter1d.errors import (AccuracyError, ConvergenceError, DomainError,
                               NoSolutionError)
 from scatter1d.singularity import (half_integer_residual, scan_singularities,
@@ -188,6 +188,43 @@ class TestGeneralGamma:
         with pytest.raises(DomainError):
             solve_general(0.7, 1, seed=0)
 
+    @pytest.mark.parametrize("gamma,seed,message", [
+        (0.7, 0, "J_nu(0) diverges"),
+        (1.0, 0, "complex division by zero"),
+        (0.7, 100, "|w|=100 exceeds supported bound"),
+        (0.7, 30 + 16j, "w=(30+16j) lies beyond the accuracy floor"),
+    ])
+    def test_seed_outside_the_domain_is_a_domain_error(self, gamma, seed, message):
+        with pytest.raises(DomainError) as exc:
+            solve_general(gamma, 1, seed)
+        text = str(exc.value)
+        assert text.startswith(f"gamma={gamma!r}, m=1, seed={seed!r}: ")
+        assert message in text
+
+    def test_newton_leaving_the_domain_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_general(2.5, 1, 0.5 + 0.5j)
+        text = str(exc.value)
+        assert text.startswith("gamma=2.5, m=1, seed=(0.5+0.5j): ")
+        assert "|w|=166 exceeds supported bound 60.0" in text
+
+    def test_random_sample_raises_only_convergence_errors(self):
+        # 60 draws gamma in (0.1, 5), m in 1..10 from the CLI's default
+        # seed: each returns a root or raises ConvergenceError naming its
+        # input (before, 34 out-of-domain DomainErrors and 4 AccuracyErrors)
+        rng = np.random.default_rng(20261019)
+        roots = 0
+        for gamma, m in zip(rng.uniform(0.1, 5.0, 60), rng.integers(1, 11, 60)):
+            gamma, m = float(gamma), int(m)
+            try:
+                sol = solve_general(gamma, m, 0.5 + 0.5j)
+            except ConvergenceError as exc:
+                assert str(exc).startswith(f"gamma={gamma!r}, m={m}, seed=(0.5+0.5j): ")
+                continue
+            assert sol.residual < 1e-10
+            roots += 1
+        assert roots == 22
+
     @pytest.mark.parametrize("f_df,message", [
         (lambda a: (1.0, 0.0), "Newton derivative vanished"),
         (lambda a: (1.0, 1e-3), "Newton did not converge"),
@@ -294,6 +331,16 @@ class TestHalfIntegerPrintedForm:
         a = mp.mpc(sol.a_frak)
         lhs = 2 * mp.pi * a ** 2 * mp.besselj(p + 1.5, a) * mp.besselj(0.5 - p, a)
         assert abs(complex(lhs) - (-1) ** p * (2 * p + 1)) < 1e-10
+
+    @pytest.mark.parametrize("p", range(29))
+    def test_window_holds_one_sign_change_for_even_p(self, p):
+        # the solver brackets its whole window [1e-3, W_MAX] at once; on the
+        # 0.03-step grid it used to walk (closed at W_MAX) the residual along
+        # a = ib changes sign exactly once for even p and never for odd p
+        grid = np.append(np.arange(1e-3, W_MAX, 0.03), W_MAX)
+        signs = np.sign([half_integer_residual(p, 1j * b).real for b in grid])
+        assert np.all(signs != 0)
+        assert np.count_nonzero(signs[1:] != signs[:-1]) == (1 if p % 2 == 0 else 0)
 
     @pytest.mark.parametrize("p", range(1, 28, 2))
     def test_odd_orders_have_no_real_root(self, p):

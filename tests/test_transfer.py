@@ -5,9 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from conftest import make_spec
-from scatter1d import shooting, transfer
 from scatter1d.analytic import amplitudes_analytic
 from scatter1d.errors import (ConvergenceError, DomainError, NearZeroError,
                               SpectralSingularityError)
@@ -113,7 +113,7 @@ class TestTransferMatrix:
     def test_solver_failure_is_convergence_error(self, monkeypatch):
         result = SimpleNamespace(success=False, message="stub",
                                  y=np.array([(1, 0, 0, 1)], dtype=complex).T)
-        monkeypatch.setattr(transfer, "solve_ivp", lambda *args, **kwargs: result)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: result)
         with pytest.raises(ConvergenceError, match=r"k=1\.3: stub"):
             transfer_matrix(three_bumps(), k=1.3)
 
@@ -207,7 +207,7 @@ class TestShootingComposition:
     ])
     def test_solver_failures_are_convergence_errors(self, monkeypatch, success, final, match):
         result = SimpleNamespace(success=success, message="stub", y=np.array([final]).T)
-        monkeypatch.setattr(shooting, "solve_ivp", lambda *args, **kwargs: result)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: result)
         with pytest.raises(ConvergenceError, match=match):
             shooting_amplitudes(three_bumps(), k=1.3)
 
@@ -300,7 +300,7 @@ class TestLeftReflectionRoutes:
         path = np.array([(1, 0.5, -0.3), (1, 1e-11, 0.8), (0, 0.2, 0.4)], dtype=complex)
         result = SimpleNamespace(success=True, message="stub", t=np.array([0, 1.3, math.pi]),
                                  y=path)
-        monkeypatch.setattr(transfer, "solve_ivp", lambda *args, **kwargs: result)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: result)
         with pytest.raises(NearZeroError, match="within 1.0e-11") as exc:
             left_reflection_integral(bump(), k=1.1)
         assert exc.value.location == 1.3
