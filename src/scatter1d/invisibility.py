@@ -33,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .analytic import amplitudes_analytic, amplitudes_analytic_array
-from .bessel import bessel_j, imaginary_zeros, real_zeros
+from .bessel import NU_MAX, bessel_j, imaginary_zeros, real_zeros
 from .errors import (DomainError, NoSolutionError, Scatter1dError,
                      SpectralSingularityError)
 from .potential import (PotentialSpec, WaveContext, as_integer, from_permittivity,
@@ -189,10 +189,15 @@ def design_unidirectional(gamma: float, side: str,
     ``zero_selector`` is either a 1-based index into the positive real-axis
     zeros of the relevant Bessel function, or ``"imaginary_pair"`` for the
     purely imaginary pair (left side, gamma in (2p, 2p+1) with p >= 1, the
-    case realizable with an ordinary eps0 > 1 material).
+    case realizable with an ordinary eps0 > 1 material).  A gamma with
+    gamma + 1 > NU_MAX raises :class:`DomainError` on either side, since
+    the closed-form amplitudes of any design need J_{gamma+1}.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    if gamma + 1.0 > NU_MAX:
+        raise DomainError(f"gamma={gamma:.6g} needs the Bessel order nu = gamma + 1, "
+                          f"beyond the supported bound {NU_MAX}")
     if side not in ("left", "right"):
         raise DomainError("side must be 'left' or 'right'")
     order = -gamma + 1.0 if side == "left" else gamma + 1.0

@@ -1,18 +1,17 @@
 """Independent scattering oracle: second-order Schrodinger shooting.
 
-Integrates -psi'' + v psi = k^2 psi with scipy's DOP853 over one period
-[a_lo, a_lo + d], d = (a_hi - a_lo) / ``cells``, for the fundamental matrix
-Phi that carries (psi, psi') across the cell.  The equation is invariant
-under a shift by d when v is, so the whole support is crossed by Phi^m,
-m = ``cells``, with no phase correction; one 4-component solve then serves
-both incidence directions, matched to plane waves at the edges.  The
-coefficient evolution in :mod:`scatter1d.transfer` runs on the same scipy
-integrator; this route stays independent of it in the equation (psi and
-psi' here, the coefficient pair (A, B) there) and in the plane-wave
-matching, and takes from it only the potential and amplitude data types.
-The two must agree to integration tolerance and are cross-checked in the
-validation suites.  :func:`shooting_amplitudes` imports ``scipy.integrate``
-on its first solve.
+Integrates -psi'' + v psi = k^2 psi over one period [a_lo, a_lo + d],
+d = (a_hi - a_lo) / ``cells``, for the fundamental matrix Phi that carries
+(psi, psi') across the cell.  The equation is invariant under a shift by d
+when v is, so the whole support is crossed by Phi^m, m = ``cells``, with no
+phase correction; one 4-component solve then serves both incidence
+directions, matched to plane waves at the edges.  The DOP853 driver and
+the matrix power come from :mod:`scatter1d.transfer` (``_evolve`` and
+``_cell_power``), run here at this module's own tolerances.  This route's
+independence of the coefficient evolution lies in its equation (psi and
+psi' here, the coefficient pair (A, B) there) and in its plane-wave
+matching.  The two must agree to integration tolerance and are
+cross-checked in the validation suites.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .potential import check_wavenumber
-from .transfer import SampledPotential, ScatteringAmplitudes
+from .transfer import SampledPotential, ScatteringAmplitudes, _cell_power, _evolve
 
 #: Relative and absolute tolerances of the DOP853 integration.
 RTOL, ATOL = 1e-11, 1e-13
@@ -46,21 +45,17 @@ def shooting_amplitudes(pot: SampledPotential, k: float) -> ScatteringAmplitudes
         return [y[2], y[3], q * y[0], q * y[1]]
 
     # Phi = [[psi_1, psi_2], [psi_1', psi_2']], row-major, from the identity
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(rhs, (a_lo, a_lo + (a_hi - a_lo) / cells),
-                    np.array([1, 0, 0, 1], dtype=complex),
-                    method="DOP853", rtol=RTOL, atol=ATOL)
-    if not sol.success:
-        raise ConvergenceError(f"shooting failed at k={k!r}: {sol.message}")
+    cell = _evolve(rhs, a_lo, a_lo + (a_hi - a_lo) / cells, (1, 0, 0, 1), k,
+                   RTOL, ATOL, "shooting")[1][:, -1].reshape(2, 2)
+    phi = _cell_power(cell, cells, k, "shooting propagator")
 
     # Left-incident: psi = e^{ikx} beyond a_hi, so Phi^m s_lo = s_hi.
     # Right-incident: psi = e^{-ikx} below a_lo, so s_hi = Phi^m s_lo.
     left_hi = cmath.exp(1j * k * a_hi) * np.array([1, 1j * k])
     right_lo = cmath.exp(-1j * k * a_lo) * np.array([1, -1j * k])
     with np.errstate(all="ignore"):
-        phi = np.linalg.matrix_power(sol.y[:, -1].reshape(2, 2), cells)
         right_hi = phi @ right_lo
-    if not (np.isfinite(phi).all() and np.isfinite(right_hi).all()):
+    if not np.isfinite(right_hi).all():
         raise ConvergenceError(
             f"shooting propagator entries are not finite at k={k!r} over {cells} cells")
     try:

@@ -273,16 +273,20 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
     unsatisfiable).  On a = ib the residual is real and
     eps0 = 1 + b^2/gamma^2 > 1.  The orders reachable are p = 0...28 (from
     p = 29 on, J_{p+3/2} exceeds NU_MAX and the call raises
-    :class:`DomainError`): every even p has exactly one root on this axis in
-    1e-3 <= b <= W_MAX, so that window is one bracket refined by Brent's
-    method, and every odd p has none (same-sign ends) and raises
-    :class:`NoSolutionError`.  The real-a segment below gamma
-    (0 < eps0 < 1) holds no root for any of them.  See the module docstring
-    for the factor-2 caveat against the general condition.
+    :class:`DomainError` naming p before any Bessel call): every even p has
+    exactly one root on this axis in 1e-3 <= b <= W_MAX, so that window is
+    one bracket refined by Brent's method, and every odd p has none
+    (same-sign ends) and raises :class:`NoSolutionError`.  The real-a
+    segment below gamma (0 < eps0 < 1) holds no root for any of them.  See
+    the module docstring for the factor-2 caveat against the general
+    condition.
     """
     p, m = as_integer("p", p, 0), as_integer("m", m, 1)
     if m % 2 == 0:
         raise DomainError("the half-integer closed form requires odd m")
+    if p + 1.5 > NU_MAX:
+        raise DomainError(f"p={p} needs the Bessel order nu = p + 3/2, "
+                          f"beyond the supported bound {NU_MAX}")
     gamma = p + 0.5
     for b in _bracketed_roots(lambda b: half_integer_residual(p, 1j * b).real,
                               (1e-3, W_MAX)):

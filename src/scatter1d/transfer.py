@@ -24,23 +24,22 @@ composition.
 
 Every evolution runs on scipy's ``solve_ivp`` with the 8th-order
 Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.10), rtol = atol = 0.05 tol; :func:`_evolve` imports
-``scipy.integrate`` on the first evolution.  The shooting oracle in
-:mod:`scatter1d.shooting` uses the same integrator on a different equation
-(the second-order one for psi) with plane-wave matching at the edges.
+sec. II.10), rtol = atol = 0.05 ``EVOLUTION_TOL``, through :func:`_evolve`,
+the package's one DOP853 driver; it imports ``scipy.integrate`` on the
+first solve.  The shooting oracle in :mod:`scatter1d.shooting` drives it,
+and composes its cell through :func:`_cell_power`, for a different equation.
 """
 
 from __future__ import annotations
 
 import cmath
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateDenominatorError, DomainError,
-                     NearZeroError, SpectralSingularityError)
+from .errors import (ConvergenceError, DegenerateDenominatorError, NearZeroError,
+                     SpectralSingularityError)
 from .potential import PotentialSpec, as_integer, check_wavenumber, evaluate_potential
 
 #: |M22| below which a configuration is reported as a spectral singularity
@@ -48,12 +47,10 @@ from .potential import PotentialSpec, as_integer, check_wavenumber, evaluate_pot
 SINGULARITY_EPS = 1e-8
 #: |R^r conj(R^r_{v*}) - 1| below which the time-reversal route to R_left fails.
 TIME_REVERSAL_EPS = 1e-12
-#: Local error target per step of every evolution; ``transfer_matrix``
-#: alone takes another through its ``tol``.
+#: Local error target per step of every evolution.
 EVOLUTION_TOL = 1e-10
-#: Smallest ``tol``: below it 0.05 tol falls under the 100 eps floor at which
-#: ``solve_ivp`` warns and clamps rtol.
-TOL_MIN = 2000 * sys.float_info.epsilon
+#: rtol = atol of every evolution's DOP853 solve.
+_STEP_TOL = 0.05 * EVOLUTION_TOL
 
 
 @dataclass(frozen=True)
@@ -124,37 +121,43 @@ class SampledPotential:
 
 def _evolve(rhs: Callable[[float, np.ndarray], Sequence[complex]],
             x0: float, x1: float, y0: Sequence[complex], k: float,
-            tol: float) -> tuple[np.ndarray, np.ndarray]:
+            rtol: float, atol: float, route: str) -> tuple[np.ndarray, np.ndarray]:
     """Accepted DOP853 points from x0 to x1 and the states there, one per column.
 
-    Raises :class:`ConvergenceError` naming ``k`` if the solve fails.
+    Raises :class:`ConvergenceError` naming ``route`` and ``k`` on failure.
     """
     from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (x0, x1), np.array(y0, dtype=complex),
-                    method="DOP853", rtol=0.05 * tol, atol=0.05 * tol)
+                    method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
-        raise ConvergenceError(f"evolution failed at k={k!r}: {sol.message}")
+        raise ConvergenceError(f"{route} failed at k={k!r}: {sol.message}")
     return sol.t, sol.y
 
 
-def transfer_matrix(pot: SampledPotential, k: float,
-                    tol: float = EVOLUTION_TOL) -> TransferMatrix:
+def _cell_power(cell: np.ndarray, cells: int, k: float, what: str) -> np.ndarray:
+    """``cell``^``cells``; a :class:`ConvergenceError` if an entry is not finite."""
+    with np.errstate(all="ignore"):
+        power = np.linalg.matrix_power(cell, cells)
+    if not np.isfinite(power).all():
+        raise ConvergenceError(
+            f"{what} entries are not finite at k={k!r} over {cells} cells")
+    return power
+
+
+def transfer_matrix(pot: SampledPotential, k: float) -> TransferMatrix:
     """M(k) from the coefficient evolution across one cell, composed over all.
 
     The evolution is integrated over the first period [a_lo, a_lo + d] only,
     giving M1.  Shifting the cell by d conjugates the generator by
     P = diag(e^{-ikd}, e^{ikd}), so the j-th cell's propagator is
     P^j M1 P^{-j} and the whole support gives M = P^m (P^{-1} M1)^m for
-    m = ``pot.cells``.  ``tol`` is the local error target per step, in
-    [``TOL_MIN``, 1e-3]; composing m cells scales the error of M1 by
-    about m (|det M - 1| ~ m |det M1 - 1|).
+    m = ``pot.cells``.  Composing m cells scales the error of M1 by about
+    m (|det M - 1| ~ m |det M1 - 1|).
 
     Raises :class:`ConvergenceError` if the cell solve fails or the
     composed entries are not finite.
     """
     check_wavenumber(k)
-    if not TOL_MIN <= tol <= 1e-3:
-        raise DomainError(f"tol must lie in [{TOL_MIN:.2e}, 1e-3], got {tol!r}")
     a_lo, a_hi = pot.support
     cells = pot.cells
     d = (a_hi - a_lo) / cells
@@ -173,14 +176,11 @@ def transfer_matrix(pot: SampledPotential, k: float,
                 -c * (u11 / e + u21),
                 -c * (u12 / e + u22))
 
-    m1 = _evolve(rhs, a_lo, a_lo + d, (1, 0, 0, 1), k, tol)[1][:, -1].reshape(2, 2)
+    m1 = _evolve(rhs, a_lo, a_lo + d, (1, 0, 0, 1), k, _STEP_TOL, _STEP_TOL,
+                 "evolution")[1][:, -1].reshape(2, 2)
     p_inv = np.array([[cmath.exp(1j * k * d)], [cmath.exp(-1j * k * d)]])
     p_m = np.array([[cmath.exp(-1j * k * cells * d)], [cmath.exp(1j * k * cells * d)]])
-    with np.errstate(all="ignore"):
-        m = p_m * np.linalg.matrix_power(p_inv * m1, cells)
-    if not np.isfinite(m).all():
-        raise ConvergenceError(
-            f"transfer matrix entries are not finite at k={k!r} over {cells} cells")
+    m = p_m * _cell_power(p_inv * m1, cells, k, "transfer matrix")
     m11, m12, m21, m22 = map(complex, m.ravel())
     return TransferMatrix(m11=m11, m12=m12, m21=m21, m22=m22, k=k)
 
@@ -223,7 +223,10 @@ def left_reflection_via_conjugate(pot: SampledPotential, k: float) -> complex:
     """R_left through the time-reversal relation.
 
     Runs the evolution for the potential and for its complex conjugate and
-    combines R_left = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1).
+    combines R_left = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1).  For
+    real k the conjugate potential's matrix is sigma_x conj(M) sigma_x, so
+    this equals -M21/M22 exactly when det M = 1: the route checks det M = 1.
+    :func:`left_reflection_integral` is the independent left route.
     """
     M = transfer_matrix(pot, k)
     amps = amplitudes_from_matrix(M)
@@ -280,7 +283,8 @@ def _evolve_s(pot: SampledPotential, k: float,
         return (ds0, ds1, 0j)
 
     z_lo = cmath.exp(-two_ik * a_lo)
-    xs, path = _evolve(rhs, a_lo, a_hi, (z_lo, 1, 0), k, EVOLUTION_TOL)
+    xs, path = _evolve(rhs, a_lo, a_hi, (z_lo, 1, 0), k, _STEP_TOL, _STEP_TOL,
+                       "evolution")
     s0, s1, integral = map(complex, path[:, -1])
     if want_integral:
         # min(|S0|, |S1|) at each accepted x; it is 1 at the start, |z_lo| = 1

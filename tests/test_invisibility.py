@@ -203,6 +203,24 @@ class TestDesign:
                            match=re.escape(f"gamma must be positive and finite, got {gamma!r}")):
             design_unidirectional(gamma, side, "imaginary_pair")
 
+    @pytest.mark.parametrize("gamma,side", [(40.5, "left"), (29.5, "right")])
+    def test_refuses_gamma_beyond_the_bessel_bound(self, gamma, side):
+        # classify needs J_{gamma+1}, so a design past NU_MAX - 1 is refused
+        # up front rather than returned unclassifiable
+        with pytest.raises(DomainError, match=re.escape(f"gamma={gamma:g} needs")):
+            design_unidirectional(gamma, side, "imaginary_pair" if side == "left" else 1)
+
+    @pytest.mark.parametrize("gamma,side,selector,kind", [
+        (28.5, "left", "imaginary_pair", VerdictKind.LEFT_ONLY),
+        (29.0, "right", 1, VerdictKind.RIGHT_ONLY),
+    ])
+    def test_designs_at_the_bessel_bound_classify(self, gamma, side, selector, kind):
+        point = design_unidirectional(gamma, side, selector)
+        if side == "left":
+            assert abs(point.a_frak - 18.418j) < 1e-3
+        spec = make_spec(point.a_frak, m=3)
+        assert classify(wave_context(spec, gamma * spec.k0)).kind is kind
+
     def test_numpy_integer_zero_index(self):
         assert design_unidirectional(0.8, "right", np.int64(2)) \
             == design_unidirectional(0.8, "right", 2)

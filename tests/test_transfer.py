@@ -8,13 +8,14 @@ import pytest
 import scipy.integrate
 
 from conftest import make_spec
+from scatter1d import validate
 from scatter1d.analytic import amplitudes_analytic
 from scatter1d.errors import (ConvergenceError, DomainError, NearZeroError,
                               SpectralSingularityError)
 from scatter1d.potential import PotentialSpec, wave_context
 from scatter1d.shooting import shooting_amplitudes
 from scatter1d.singularity import solve_integer_gamma
-from scatter1d.transfer import (TOL_MIN, SampledPotential, ScatteringAmplitudes,
+from scatter1d.transfer import (SampledPotential, ScatteringAmplitudes,
                                 TransferMatrix, amplitudes_from_matrix,
                                 amplitudes_numeric, left_reflection_integral,
                                 left_reflection_via_conjugate,
@@ -73,8 +74,7 @@ class TestTransferMatrix:
             gamma = float(rng.uniform(0.15, 4.5))
             a = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
             spec = make_spec(a, m)
-            M = transfer_matrix(SampledPotential.from_spec(spec),
-                                gamma * spec.k0, tol=1e-10)
+            M = transfer_matrix(SampledPotential.from_spec(spec), gamma * spec.k0)
             assert abs(M.determinant() - 1.0) < 1e-10
 
     def test_matches_closed_form(self):
@@ -101,14 +101,11 @@ class TestTransferMatrix:
         assert np.max(np.abs(full.as_array() - expected)) < 1e-8
 
     def test_tolerance_precondition(self):
-        with pytest.raises(DomainError):
-            transfer_matrix(FREE, k=1.0, tol=1e-2)
+        # the step tolerance is fixed; only k is the caller's to get wrong
         with pytest.raises(DomainError):
             transfer_matrix(FREE, k=-1.0)
-        # below TOL_MIN, solve_ivp would warn and clamp rtol; at it, neither
-        with pytest.raises(DomainError, match="got 4e-13"):
-            transfer_matrix(FREE, k=1.0, tol=4e-13)
-        transfer_matrix(bump(), k=1.0, tol=TOL_MIN)
+        with pytest.raises(TypeError):
+            transfer_matrix(FREE, k=1.0, tol=1e-10)
 
     def test_solver_failure_is_convergence_error(self, monkeypatch):
         result = SimpleNamespace(success=False, message="stub",
@@ -206,7 +203,8 @@ class TestShootingComposition:
         (True, (1, 2, 2, 4), r"singular at k=1\.3 over 3 cells"),
     ])
     def test_solver_failures_are_convergence_errors(self, monkeypatch, success, final, match):
-        result = SimpleNamespace(success=success, message="stub", y=np.array([final]).T)
+        result = SimpleNamespace(success=success, message="stub", t=np.array([0.0]),
+                                 y=np.array([final]).T)
         monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: result)
         with pytest.raises(ConvergenceError, match=match):
             shooting_amplitudes(three_bumps(), k=1.3)
@@ -252,6 +250,19 @@ class TestAmplitudes:
 
 
 class TestLeftReflectionRoutes:
+    def test_conjugate_potential_matrix_is_algebra(self):
+        # M(v*) = sigma_x conj(M(v)) sigma_x for real k, so the conjugate
+        # route's second evolution adds no information beyond det M = 1
+        rng = np.random.default_rng(validate.DEFAULT_SEED)
+        sigma_x = np.array([[0, 1], [1, 0]])
+        for _ in range(validate.TRANSFER_ENSEMBLE):
+            spec, k = validate._random_config(rng)
+            pot = SampledPotential.from_spec(spec)
+            M = transfer_matrix(pot, k).as_array()
+            Mc = transfer_matrix(pot.conjugate(), k).as_array()
+            expected = sigma_x @ M.conj() @ sigma_x
+            assert np.max(np.abs(Mc - expected)) < 1e-12 * np.max(np.abs(M))
+
     def test_real_potential_conjugate_route(self):
         pot = bump()
         k = 1.1
