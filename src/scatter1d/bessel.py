@@ -48,6 +48,7 @@ import numpy as np
 from scipy.special import iv, jv
 
 from .errors import AccuracyError, ConvergenceError, DomainError
+from .potential import as_integer
 
 #: Largest |w| accepted.  Everything the scattering formulas need stays
 #: below ~45.
@@ -238,12 +239,14 @@ def real_zeros(nu: float, count: int) -> list[BesselZero]:
     changes are bracketed on a grid of step pi/4, small against the
     asymptotic ~pi spacing, from max(0.05, nu) (all positive zeros exceed
     nu for nu > 0) up to W_MAX - 1, and refined by Brent's method.  Each
-    zero must also satisfy |bessel_j| <= TOL_ZERO.
+    zero must also satisfy |bessel_j| <= TOL_ZERO.  ``count`` follows the
+    integer rule of ``PotentialSpec.m`` (2 and 2.0 give 2).
     """
     nu = float(nu)
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    if not abs(nu) <= NU_MAX:
+    count = as_integer("count", count, 1)
+    if not math.isfinite(nu):
+        raise DomainError(f"order must be finite, got {nu!r}")
+    if abs(nu) > NU_MAX:
         raise DomainError(f"|nu|={abs(nu):.3g} exceeds supported bound {NU_MAX}")
     zeros: list[BesselZero] = []
     grid = np.arange(max(0.05, nu), W_MAX - 1.0, 0.25 * math.pi).tolist()

@@ -53,7 +53,7 @@ def check_wavenumber(k: float) -> None:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Coupling z (units of k0^2), cell count m, support length L."""
+    """Finite coupling z (units of k0^2), cell count m, support length L."""
 
     coupling: complex
     m: int
@@ -63,7 +63,10 @@ class PotentialSpec:
         m = as_integer("m", self.m, 1)
         if not (self.L > 0.0 and math.isfinite(self.L)):
             raise DomainError("L must be positive and finite")
-        object.__setattr__(self, "coupling", complex(self.coupling))
+        coupling = complex(self.coupling)
+        if not cmath.isfinite(coupling):
+            raise DomainError(f"coupling must be finite, got {coupling!r}")
+        object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "L", float(self.L))
 

@@ -5,9 +5,9 @@ d = (a_hi - a_lo) / ``cells``, for the fundamental matrix Phi that carries
 (psi, psi') across the cell.  The equation is invariant under a shift by d
 when v is, so the whole support is crossed by Phi^m, m = ``cells``, with no
 phase correction; one 4-component solve then serves both incidence
-directions, matched to plane waves at the edges.  The DOP853 driver and
-the matrix power come from :mod:`scatter1d.transfer` (``_evolve`` and
-``_cell_power``), run here at this module's own tolerances.  This route's
+directions, matched to plane waves at the edges.  The DOP853 driver, its
+one step tolerance and the matrix power come from
+:mod:`scatter1d.transfer` (``_evolve`` and ``_cell_power``).  This route's
 independence of the coefficient evolution lies in its equation (psi and
 psi' here, the coefficient pair (A, B) there) and in its plane-wave
 matching.  The two must agree to integration tolerance and are
@@ -24,14 +24,12 @@ from .errors import ConvergenceError
 from .potential import check_wavenumber
 from .transfer import SampledPotential, ScatteringAmplitudes, _cell_power, _evolve
 
-#: Relative and absolute tolerances of the DOP853 integration.
-RTOL, ATOL = 1e-11, 1e-13
-
 
 def shooting_amplitudes(pot: SampledPotential, k: float) -> ScatteringAmplitudes:
     """(R_left, R_right, T) by shooting one cell and plane-wave matching.
 
-    Raises :class:`ConvergenceError` if the cell solve fails or the composed
+    Raises :class:`DomainError` if the potential is not finite at a_lo, and
+    :class:`ConvergenceError` if the cell solve fails or the composed
     propagator Phi^m is not finite or not invertible.
     """
     check_wavenumber(k)
@@ -46,7 +44,7 @@ def shooting_amplitudes(pot: SampledPotential, k: float) -> ScatteringAmplitudes
 
     # Phi = [[psi_1, psi_2], [psi_1', psi_2']], row-major, from the identity
     cell = _evolve(rhs, a_lo, a_lo + (a_hi - a_lo) / cells, (1, 0, 0, 1), k,
-                   RTOL, ATOL, "shooting")[1][:, -1].reshape(2, 2)
+                   "shooting")[1][:, -1].reshape(2, 2)
     phi = _cell_power(cell, cells, k, "shooting propagator")
 
     # Left-incident: psi = e^{ikx} beyond a_hi, so Phi^m s_lo = s_hi.

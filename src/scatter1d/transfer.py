@@ -27,19 +27,21 @@ Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.10), rtol = atol = 0.05 ``EVOLUTION_TOL``, through :func:`_evolve`,
 the package's one DOP853 driver; it imports ``scipy.integrate`` on the
 first solve.  The shooting oracle in :mod:`scatter1d.shooting` drives it,
-and composes its cell through :func:`_cell_power`, for a different equation.
+at the same tolerance, and composes its cell through :func:`_cell_power`,
+for a different equation.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateDenominatorError, NearZeroError,
-                     SpectralSingularityError)
+from .errors import (ConvergenceError, DegenerateDenominatorError, DomainError,
+                     NearZeroError, SpectralSingularityError)
 from .potential import PotentialSpec, as_integer, check_wavenumber, evaluate_potential
 
 #: |M22| below which a configuration is reported as a spectral singularity
@@ -49,7 +51,7 @@ SINGULARITY_EPS = 1e-8
 TIME_REVERSAL_EPS = 1e-12
 #: Local error target per step of every evolution.
 EVOLUTION_TOL = 1e-10
-#: rtol = atol of every evolution's DOP853 solve.
+#: rtol = atol of every DOP853 solve: the evolution, shooting and (S0, S1).
 _STEP_TOL = 0.05 * EVOLUTION_TOL
 
 
@@ -93,10 +95,11 @@ class SampledPotential:
     """A finite-range potential given by its support and an evaluator.
 
     The evaluator is only consulted inside the support; callers promise
-    v(x) = 0 outside it.  ``cells`` declares that v repeats ``cells`` times
-    over the support, with period d = (a_hi - a_lo) / cells; the transfer
-    matrix and the shooting oracle then integrate one period only.  It
-    follows the integer rule of ``PotentialSpec.m`` (2 and 2.0 give 2).
+    v(x) = 0 outside it.  The support must be finite with a_lo < a_hi.
+    ``cells`` declares that v repeats ``cells`` times over the support,
+    with period d = (a_hi - a_lo) / cells; the transfer matrix and the
+    shooting oracle then integrate one period only.  It follows the
+    integer rule of ``PotentialSpec.m`` (2 and 2.0 give 2).
     """
 
     support: tuple[float, float]
@@ -104,6 +107,10 @@ class SampledPotential:
     cells: int = 1
 
     def __post_init__(self):
+        a_lo, a_hi = self.support
+        if not (math.isfinite(a_lo) and math.isfinite(a_hi) and a_lo < a_hi):
+            raise DomainError(
+                f"support must be finite with a_lo < a_hi, got {self.support!r}")
         object.__setattr__(self, "cells", as_integer("cells", self.cells, 1))
 
     @classmethod
@@ -121,14 +128,22 @@ class SampledPotential:
 
 def _evolve(rhs: Callable[[float, np.ndarray], Sequence[complex]],
             x0: float, x1: float, y0: Sequence[complex], k: float,
-            rtol: float, atol: float, route: str) -> tuple[np.ndarray, np.ndarray]:
+            route: str) -> tuple[np.ndarray, np.ndarray]:
     """Accepted DOP853 points from x0 to x1 and the states there, one per column.
 
-    Raises :class:`ConvergenceError` naming ``route`` and ``k`` on failure.
+    Raises :class:`DomainError` naming ``route``, ``k`` and ``x0`` if the
+    right-hand side is not finite at the start (``solve_ivp`` would shrink
+    its step without end), and :class:`ConvergenceError` naming ``route``
+    and ``k`` if the solve fails.
     """
     from scipy.integrate import solve_ivp
-    sol = solve_ivp(rhs, (x0, x1), np.array(y0, dtype=complex),
-                    method="DOP853", rtol=rtol, atol=atol)
+    y0 = np.array(y0, dtype=complex)
+    with np.errstate(all="ignore"):
+        start = rhs(x0, y0)
+    if not np.isfinite(start).all():
+        raise DomainError(
+            f"{route} right-hand side is not finite at x0={x0!r} for k={k!r}")
+    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=_STEP_TOL, atol=_STEP_TOL)
     if not sol.success:
         raise ConvergenceError(f"{route} failed at k={k!r}: {sol.message}")
     return sol.t, sol.y
@@ -152,10 +167,12 @@ def transfer_matrix(pot: SampledPotential, k: float) -> TransferMatrix:
     P = diag(e^{-ikd}, e^{ikd}), so the j-th cell's propagator is
     P^j M1 P^{-j} and the whole support gives M = P^m (P^{-1} M1)^m for
     m = ``pot.cells``.  Composing m cells scales the error of M1 by about
-    m (|det M - 1| ~ m |det M1 - 1|).
+    m (|det M - 1| ~ m |det M1 - 1|).  The cell is solved at the one step
+    tolerance ``_STEP_TOL``, as every other route is.
 
-    Raises :class:`ConvergenceError` if the cell solve fails or the
-    composed entries are not finite.
+    Raises :class:`DomainError` if the potential is not finite at a_lo, and
+    :class:`ConvergenceError` if the cell solve fails or the composed
+    entries are not finite.
     """
     check_wavenumber(k)
     a_lo, a_hi = pot.support
@@ -176,8 +193,7 @@ def transfer_matrix(pot: SampledPotential, k: float) -> TransferMatrix:
                 -c * (u11 / e + u21),
                 -c * (u12 / e + u22))
 
-    m1 = _evolve(rhs, a_lo, a_lo + d, (1, 0, 0, 1), k, _STEP_TOL, _STEP_TOL,
-                 "evolution")[1][:, -1].reshape(2, 2)
+    m1 = _evolve(rhs, a_lo, a_lo + d, (1, 0, 0, 1), k, "evolution")[1][:, -1].reshape(2, 2)
     p_inv = np.array([[cmath.exp(1j * k * d)], [cmath.exp(-1j * k * d)]])
     p_m = np.array([[cmath.exp(-1j * k * cells * d)], [cmath.exp(1j * k * cells * d)]])
     m = p_m * _cell_power(p_inv * m1, cells, k, "transfer matrix")
@@ -222,16 +238,16 @@ def amplitudes_numeric(pot: SampledPotential, k: float) -> ScatteringAmplitudes:
 def left_reflection_via_conjugate(pot: SampledPotential, k: float) -> complex:
     """R_left through the time-reversal relation.
 
-    Runs the evolution for the potential and for its complex conjugate and
-    combines R_left = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1).  For
-    real k the conjugate potential's matrix is sigma_x conj(M) sigma_x, so
-    this equals -M21/M22 exactly when det M = 1: the route checks det M = 1.
-    :func:`left_reflection_integral` is the independent left route.
+    Combines R_left = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1) from
+    one evolution.  For real k the conjugate potential's matrix is
+    sigma_x conj(M) sigma_x, so conj(R^r_{v*}) = M21/M11 and the relation
+    gives -M21/(M22 det M), which is -M21/M22 exactly when det M = 1: the
+    route checks det M = 1.  :func:`left_reflection_integral` is the
+    independent left route.
     """
     M = transfer_matrix(pot, k)
     amps = amplitudes_from_matrix(M)
-    Mc = transfer_matrix(pot.conjugate(), k)
-    rr_conj_star = (Mc.m12 / Mc.m22).conjugate()
+    rr_conj_star = M.m21 / M.m11
     denom = amps.r_right * rr_conj_star - 1.0
     if abs(denom) < TIME_REVERSAL_EPS:
         raise DegenerateDenominatorError(
@@ -283,8 +299,7 @@ def _evolve_s(pot: SampledPotential, k: float,
         return (ds0, ds1, 0j)
 
     z_lo = cmath.exp(-two_ik * a_lo)
-    xs, path = _evolve(rhs, a_lo, a_hi, (z_lo, 1, 0), k, _STEP_TOL, _STEP_TOL,
-                       "evolution")
+    xs, path = _evolve(rhs, a_lo, a_hi, (z_lo, 1, 0), k, "evolution")
     s0, s1, integral = map(complex, path[:, -1])
     if want_integral:
         # min(|S0|, |S1|) at each accepted x; it is 1 at the start, |z_lo| = 1

@@ -273,6 +273,11 @@ class TestRealZeros:
     def test_count_validation(self):
         with pytest.raises(DomainError):
             real_zeros(0.0, 0)
+        for count in (2.5, "3", math.nan, None):
+            with pytest.raises(DomainError, match="count must be an integer >= 1"):
+                real_zeros(1.0, count)
+        with pytest.raises(DomainError, match="order must be finite, got nan"):
+            real_zeros(math.nan, 1)
 
 
 class TestImaginaryZeros:

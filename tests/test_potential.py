@@ -25,6 +25,12 @@ class TestSpec:
         with pytest.raises(DomainError):
             PotentialSpec(coupling=1.0, m=1, L=-2.0)
 
+    @pytest.mark.parametrize("coupling", [complex("nan"), complex("inf"), complex(1.0, math.inf)])
+    def test_non_finite_coupling_refused(self, coupling):
+        # such a coupling made every integrating route hang inside solve_ivp
+        with pytest.raises(DomainError, match=r"coupling must be finite, got \("):
+            PotentialSpec(coupling=coupling, m=1, L=math.pi)
+
     def test_cell_count_takes_integral_values(self):
         assert PotentialSpec(coupling=1.0, m=2.0, L=1.0).m == 2
         assert type(PotentialSpec(coupling=1.0, m=np.int64(2), L=1.0).m) is int

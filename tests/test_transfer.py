@@ -15,8 +15,9 @@ from scatter1d.errors import (ConvergenceError, DomainError, NearZeroError,
 from scatter1d.potential import PotentialSpec, wave_context
 from scatter1d.shooting import shooting_amplitudes
 from scatter1d.singularity import solve_integer_gamma
-from scatter1d.transfer import (SampledPotential, ScatteringAmplitudes,
-                                TransferMatrix, amplitudes_from_matrix,
+from scatter1d.transfer import (EVOLUTION_TOL, _STEP_TOL, SampledPotential,
+                                ScatteringAmplitudes, TransferMatrix,
+                                amplitudes_from_matrix,
                                 amplitudes_numeric, left_reflection_integral,
                                 left_reflection_via_conjugate,
                                 matrix_from_amplitudes, s_boundary,
@@ -263,6 +264,20 @@ class TestLeftReflectionRoutes:
             expected = sigma_x @ M.conj() @ sigma_x
             assert np.max(np.abs(Mc - expected)) < 1e-12 * np.max(np.abs(M))
 
+    def test_conjugate_route_runs_one_evolution(self):
+        assert (evaluator_calls(left_reflection_via_conjugate, 3)
+                == evaluator_calls(transfer_matrix, 3) > 0)
+
+    def test_conjugate_route_is_the_determinant_form(self):
+        # with conj(R^r_{v*}) = M21/M11 the relation is -M21/(M22 det M)
+        rng = np.random.default_rng(validate.DEFAULT_SEED)
+        for _ in range(validate.TRANSFER_ENSEMBLE):
+            spec, k = validate._random_config(rng)
+            pot = SampledPotential.from_spec(spec)
+            M = transfer_matrix(pot, k)
+            expected = -M.m21 / (M.m22 * M.determinant())
+            assert abs(left_reflection_via_conjugate(pot, k) - expected) < 1e-13 * abs(expected)
+
     def test_real_potential_conjugate_route(self):
         pot = bump()
         k = 1.1
@@ -322,6 +337,40 @@ class TestLeftReflectionRoutes:
         # free case: S stays the straight line S(z) = z
         assert abs(s0 - cmath.exp(-2j * 1.7 * 1.0)) < 1e-10
         assert abs(s1 - 1.0) < 1e-10
+
+
+class TestEvolveDriver:
+    @pytest.mark.parametrize("route", [transfer_matrix, shooting_amplitudes, s_boundary])
+    def test_every_route_solves_at_the_one_step_tolerance(self, monkeypatch, route):
+        solve_ivp, seen = scipy.integrate.solve_ivp, []
+
+        def recording(*args, **kwargs):
+            seen.append((kwargs["rtol"], kwargs["atol"]))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+        route(three_bumps(), k=1.3)
+        assert seen == [(_STEP_TOL, _STEP_TOL)]
+        assert _STEP_TOL == 0.05 * EVOLUTION_TOL
+
+    # A potential that is not finite where a solve starts would make
+    # solve_ivp shrink its step without end; each route refuses it up front.
+    @pytest.mark.parametrize("value", [complex("nan"), complex("inf")])
+    @pytest.mark.parametrize("route,label", [(transfer_matrix, "evolution"),
+                                             (shooting_amplitudes, "shooting"),
+                                             (s_boundary, "evolution")])
+    def test_potential_not_finite_at_the_start(self, route, label, value):
+        pot = SampledPotential(support=(0.5, 2.0),
+                               evaluate=lambda x: value if x == 0.5 else 0.3j)
+        with pytest.raises(DomainError, match=rf"^{label} right-hand side is not finite "
+                                              r"at x0=0\.5 for k=1\.3$"):
+            route(pot, k=1.3)
+
+    @pytest.mark.parametrize("support", [(math.nan, 1.0), (0.0, math.inf),
+                                         (1.0, 1.0), (1.0, 0.0)])
+    def test_support_must_be_a_finite_interval(self, support):
+        with pytest.raises(DomainError, match="support must be finite with a_lo < a_hi"):
+            SampledPotential(support=support, evaluate=lambda x: 0j)
 
 
 def _j(nu, w):
