@@ -18,9 +18,9 @@ _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 from .analytic import (BoundaryValues, amplitudes_analytic,
                        amplitudes_perturbative, boundary_values,
                        invisibility_quality)
-from .bessel import (BesselZero, IdentityResiduals, ZeroKind, bessel_j,
-                     bessel_j_derivative, identity_residuals, imaginary_zeros,
-                     in_hurwitz_band, real_zeros)
+from .bessel import (IdentityResiduals, bessel_j, bessel_j_derivative,
+                     identity_residuals, imaginary_zeros, in_hurwitz_band,
+                     real_zeros)
 from .errors import (AccuracyError, ConvergenceError,
                      DegenerateDenominatorError, DomainError, NearZeroError,
                      NoSolutionError, Scatter1dError, SpectralSingularityError)

@@ -41,7 +41,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -64,21 +63,6 @@ _EPS = 2.220446049250313e-16
 
 #: ln(1e-10 / (0.2 eps)) ~ 14.627: see :func:`_beyond_floor`.
 FLOOR_IM = math.log(1e-10 / (0.2 * _EPS))
-
-
-class ZeroKind(str, Enum):
-    REAL_AXIS = "real-axis"
-    IMAGINARY_AXIS = "imaginary-axis"
-
-
-@dataclass(frozen=True)
-class BesselZero:
-    """A single refined zero of J_nu on one of the coordinate half-lines."""
-
-    order: float
-    location: complex
-    kind: ZeroKind
-    index: int
 
 
 @dataclass(frozen=True)
@@ -232,8 +216,8 @@ def _bracketed_roots(func: Callable[[float], float],
         prev_t, prev_f = t, ft
 
 
-def real_zeros(nu: float, count: int) -> list[BesselZero]:
-    """First ``count`` positive real-axis zeros of J_nu, in increasing order.
+def real_zeros(nu: float, count: int) -> list[float]:
+    """The first ``count`` positive zeros of J_nu, in increasing order.
 
     J_nu on the real axis is taken from ``scipy.special.jv``.  Its sign
     changes are bracketed on a grid of step pi/4, small against the
@@ -248,13 +232,12 @@ def real_zeros(nu: float, count: int) -> list[BesselZero]:
         raise DomainError(f"order must be finite, got {nu!r}")
     if abs(nu) > NU_MAX:
         raise DomainError(f"|nu|={abs(nu):.3g} exceeds supported bound {NU_MAX}")
-    zeros: list[BesselZero] = []
+    zeros: list[float] = []
     grid = np.arange(max(0.05, nu), W_MAX - 1.0, 0.25 * math.pi).tolist()
     for root in _bracketed_roots(lambda x: jv(nu, x), grid):
         if abs(bessel_j(nu, complex(root))) > TOL_ZERO:
             raise ConvergenceError(f"zero refinement of J_{nu} stalled near {root:.6f}")
-        zeros.append(BesselZero(order=nu, location=complex(root),
-                                kind=ZeroKind.REAL_AXIS, index=len(zeros) + 1))
+        zeros.append(root)
         if len(zeros) >= count:
             return zeros
     raise ConvergenceError(
@@ -274,11 +257,12 @@ def in_hurwitz_band(nu: float) -> bool:
     return int(math.floor(-nu)) % 2 == 1
 
 
-def imaginary_zeros(nu: float) -> Optional[tuple[BesselZero, BesselZero]]:
-    """The +-iy pair of purely imaginary zeros of J_nu, or None.
+def imaginary_zeros(nu: float) -> Optional[float]:
+    """The y > 0 of the pair of purely imaginary zeros +-iy of J_nu, or None.
 
-    On the imaginary axis J_nu(iy)/(iy/2)^nu = I_nu(y)/(y/2)^nu, real and
-    taken from ``scipy.special.iv``.  In a Hurwitz band this profile starts
+    None outside a Hurwitz band (:func:`in_hurwitz_band`).  On the
+    imaginary axis J_nu(iy)/(iy/2)^nu = I_nu(y)/(y/2)^nu, real and taken
+    from ``scipy.special.iv``.  In a Hurwitz band this profile starts
     negative (1/Gamma(nu+1) < 0), grows without bound and has exactly one
     positive zero (Hurwitz 1889; Watson, sec. 15.27), so the window
     1e-4 <= y <= W_MAX is one bracket, refined by Brent's method.
@@ -287,12 +271,7 @@ def imaginary_zeros(nu: float) -> Optional[tuple[BesselZero, BesselZero]]:
     if not in_hurwitz_band(nu):
         return None
     for root in _bracketed_roots(lambda y: iv(nu, y) / (0.5 * y) ** nu, (1e-4, W_MAX)):
-        loc = complex(0.0, root)
-        plus = BesselZero(order=nu, location=loc,
-                          kind=ZeroKind.IMAGINARY_AXIS, index=1)
-        minus = BesselZero(order=nu, location=-loc,
-                           kind=ZeroKind.IMAGINARY_AXIS, index=1)
-        return (plus, minus)
+        return root
     raise ConvergenceError(f"imaginary zero of J_{nu} not found in [1e-4, {W_MAX}]")
 
 

@@ -24,6 +24,7 @@ against the direct solver.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -191,7 +192,8 @@ def design_unidirectional(gamma: float, side: str,
     purely imaginary pair (left side, gamma in (2p, 2p+1) with p >= 1, the
     case realizable with an ordinary eps0 > 1 material).  A gamma with
     gamma + 1 > NU_MAX raises :class:`DomainError` on either side, since
-    the closed-form amplitudes of any design need J_{gamma+1}.
+    the closed-form amplitudes of any design need J_{gamma+1}; so does a
+    gamma so small that eps0 = 1 - a^2/gamma^2 is not a finite complex.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
@@ -202,20 +204,26 @@ def design_unidirectional(gamma: float, side: str,
         raise DomainError("side must be 'left' or 'right'")
     order = -gamma + 1.0 if side == "left" else gamma + 1.0
     if zero_selector == "imaginary_pair":
-        pair = imaginary_zeros(order)
-        if pair is None:
+        y = imaginary_zeros(order)
+        if y is None:
             raise NoSolutionError(
                 f"J_{order:g} has no purely imaginary zeros; for side='left' "
                 "they require gamma in (2p, 2p+1) with p >= 1")
-        rho = pair[0].location
+        rho = complex(0.0, y)
     elif (isinstance(zero_selector, numbers.Integral)
           and not isinstance(zero_selector, bool)):
         if zero_selector < 1:
             raise DomainError("zero index must be >= 1")
-        rho = real_zeros(order, int(zero_selector))[-1].location
+        rho = complex(real_zeros(order, int(zero_selector))[-1])
     else:
         raise DomainError("zero_selector must be a positive index or 'imaginary_pair'")
-    eps0 = 1.0 - rho * rho / (gamma * gamma)
+    try:
+        eps0 = 1.0 - rho * rho / (gamma * gamma)
+    except ZeroDivisionError:  # gamma * gamma underflows to 0
+        eps0 = complex(math.inf)
+    if not cmath.isfinite(eps0):
+        raise DomainError(f"gamma={gamma!r} is too small: eps0 = 1 - a^2/gamma^2 "
+                          "is not a finite complex")
     return DesignPoint(a_frak=rho, eps0=eps0, gamma=gamma, side=side)
 
 

@@ -34,11 +34,12 @@ INTEGER_SNAP_EPS = 1e-9
 def as_integer(name: str, value, minimum: int) -> int:
     """``value`` as an ``int`` if it is integral (2, 2.0, numpy.int64(2)).
 
-    Anything else (2.5, "2", nan, None) or a value below ``minimum``
-    raises :class:`DomainError`.
+    Anything else (2.5, "2", nan, None, True, numpy.False_) or a value
+    below ``minimum`` raises :class:`DomainError`.
     """
     try:
-        if int(value) == value and value >= minimum:
+        if (not isinstance(value, (bool, np.bool_))
+                and int(value) == value and value >= minimum):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -234,9 +234,13 @@ def solve_integer_gamma(n: int, m: int) -> SingularitySolution:
 
     Seeds every (2n+2)-th root branch of the leading-order solution, keeps
     the branches with Re eps0 > 1, Newton-refines each and returns the
-    smallest-residual root (canonicalized to Re a >= 0; the condition is
-    even in a).  A branch whose Newton iterates stall or leave the Bessel
-    domain is skipped.  An n with n + 1 > NU_MAX raises :class:`DomainError`.
+    smallest-residual root, ties going to the smaller Re a, then Im a
+    (canonicalized to Re a >= 0; the condition is even in a).  Different
+    branches can reach different singularities, so the root returned is
+    chosen by residual alone: it need not be the one Newton reaches from
+    :func:`seed_integer_gamma`, and from n = 2 on it often is not.  A
+    branch whose Newton iterates stall or leave the Bessel domain is
+    skipped.  An n with n + 1 > NU_MAX raises :class:`DomainError`.
     """
     n, m = _integer_order(n), as_integer("m", m, 1)
     condition = _condition(float(n), m)

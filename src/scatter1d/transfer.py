@@ -57,11 +57,12 @@ _STEP_TOL = 0.05 * EVOLUTION_TOL
 
 @dataclass(frozen=True)
 class TransferMatrix:
+    """M, which maps (A, B) left of the support to (A, B) right of it; k is the caller's."""
+
     m11: complex
     m12: complex
     m21: complex
     m22: complex
-    k: float
 
     def determinant(self) -> complex:
         return self.m11 * self.m22 - self.m12 * self.m21
@@ -198,7 +199,7 @@ def transfer_matrix(pot: SampledPotential, k: float) -> TransferMatrix:
     p_m = np.array([[cmath.exp(-1j * k * cells * d)], [cmath.exp(1j * k * cells * d)]])
     m = p_m * _cell_power(p_inv * m1, cells, k, "transfer matrix")
     m11, m12, m21, m22 = map(complex, m.ravel())
-    return TransferMatrix(m11=m11, m12=m12, m21=m21, m22=m22, k=k)
+    return TransferMatrix(m11=m11, m12=m12, m21=m21, m22=m22)
 
 
 def _refuse_pole(abs_m22: float) -> None:
@@ -220,14 +221,16 @@ def amplitudes_from_matrix(M: TransferMatrix) -> ScatteringAmplitudes:
     return ScatteringAmplitudes(r_left=-M.m21 / M.m22, r_right=M.m12 / M.m22, t=t)
 
 
-def matrix_from_amplitudes(amps: ScatteringAmplitudes, k: float) -> TransferMatrix:
-    """Inverse of :func:`amplitudes_from_matrix`; used as a consistency check."""
+def matrix_from_amplitudes(amps: ScatteringAmplitudes) -> TransferMatrix:
+    """Inverse of :func:`amplitudes_from_matrix`; used as a consistency check.
+
+    The entries follow from (R_left, R_right, T) alone, with det M = 1.
+    """
     t = amps.t
     return TransferMatrix(m11=t - amps.r_left * amps.r_right / t,
                           m12=amps.r_right / t,
                           m21=-amps.r_left / t,
-                          m22=1.0 / t,
-                          k=k)
+                          m22=1.0 / t)
 
 
 def amplitudes_numeric(pot: SampledPotential, k: float) -> ScatteringAmplitudes:

@@ -170,8 +170,8 @@ def test_criterion_7_right_invisibility_at_zeros():
     worst_inv = 0.0
     best_left = math.inf
     for gamma in (0.3, 1.0, 1.7, 2.5):
-        for z in real_zeros(gamma + 1.0, 5):
-            spec = make_spec(z.location.real, m=1)
+        for x in real_zeros(gamma + 1.0, 5):
+            spec = make_spec(x, m=1)
             amps = amplitudes_analytic(wave_context(spec, gamma * spec.k0))
             worst_inv = max(worst_inv, abs(amps.t - 1), abs(amps.r_right))
             best_left = min(best_left, abs(amps.r_left))
@@ -226,8 +226,8 @@ def test_criterion_9_structural_invariants():
         nu = float(nu)
         if nu == 0.0:
             continue  # J_{-1} = -J_1: adjacent orders coincide there
-        for z in real_zeros(nu - 1.0, 10):
-            worst_sep = min(worst_sep, abs(bessel_j(nu + 1.0, z.location)))
+        for x in real_zeros(nu - 1.0, 10):
+            worst_sep = min(worst_sep, abs(bessel_j(nu + 1.0, x)))
 
     report("criterion-9 structural invariants",
            worst_det < 1e-10 and worst_id < 1e-10 and worst_sep > 1e-6,

@@ -94,7 +94,7 @@ class TestAmplitudes:
     def test_transparency_at_bessel_zero(self):
         # gamma = n and a at a zero of J_{n+1}: T = 1 and R^r = 0 together
         for n in (1, 2):
-            rho = real_zeros(n + 1.0, 1)[0].location.real
+            rho = real_zeros(n + 1.0, 1)[0]
             spec = make_spec(rho, m=1)
             amps = amplitudes_analytic(wave_context(spec, n * spec.k0))
             assert abs(amps.t - 1.0) < 1e-9

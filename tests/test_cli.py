@@ -341,6 +341,19 @@ class TestDesign:
         assert exc.value.code == EXIT_SCHEMA
         assert "argument --gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e-160"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_tiny_gamma_exits_3_without_an_artifact(self, tmp_path, capsys, gamma, side):
+        # such a gamma passes the option check, but eps0 = 1 - a^2/gamma^2
+        # is not a finite complex
+        out = tmp_path / "tiny.json"
+        rc = main(["design", "--gamma", gamma, "--side", side, "--zero", "1",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+        assert f"gamma={float(gamma)!r}" in err and "Traceback" not in err
+
     def test_scenario_interface(self, tmp_path, capsys):
         scen = write(tmp_path / "d.json", {
             "analysis": {"type": "design", "gamma": 2.0062,

@@ -40,7 +40,7 @@ class TestClassify:
         assert verdict.abs_r_right >= 1e-3
 
     def test_right_only_from_real_zero(self):
-        rho = real_zeros(2.0, 1)[0].location.real
+        rho = real_zeros(2.0, 1)[0]
         spec = make_spec(rho, m=1)
         verdict = classify(wave_context(spec, spec.k0))
         assert verdict.kind is VerdictKind.RIGHT_ONLY
@@ -139,8 +139,8 @@ class TestTheorems:
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 1.7, 2.5])
     def test_right_invisibility_at_real_zeros(self, gamma):
-        for z in real_zeros(gamma + 1.0, 5):
-            spec = make_spec(z.location.real, m=1)
+        for x in real_zeros(gamma + 1.0, 5):
+            spec = make_spec(x, m=1)
             amps = amplitudes_analytic(wave_context(spec, gamma * spec.k0))
             assert abs(amps.t - 1.0) < 1e-9
             assert abs(amps.r_right) < 1e-9
@@ -149,8 +149,8 @@ class TestTheorems:
     @pytest.mark.parametrize("gamma", [0.3, 0.7])
     def test_left_invisibility_at_real_zeros(self, gamma):
         # J_{1-gamma} has positive real zeros for these orders
-        for z in real_zeros(1.0 - gamma, 3):
-            spec = make_spec(z.location.real, m=1)
+        for x in real_zeros(1.0 - gamma, 3):
+            spec = make_spec(x, m=1)
             amps = amplitudes_analytic(wave_context(spec, gamma * spec.k0))
             assert abs(amps.t - 1.0) < 1e-9
             assert abs(amps.r_left) < 1e-9
@@ -209,6 +209,14 @@ class TestDesign:
         # up front rather than returned unclassifiable
         with pytest.raises(DomainError, match=re.escape(f"gamma={gamma:g} needs")):
             design_unidirectional(gamma, side, "imaginary_pair" if side == "left" else 1)
+
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-160])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_refuses_gamma_whose_eps0_is_not_finite(self, gamma, side):
+        # gamma * gamma underflows to 0 at 1e-200 and to a subnormal at
+        # 1e-160, where a^2 / gamma^2 overflows
+        with pytest.raises(DomainError, match=re.escape(f"gamma={gamma!r} is too small")):
+            design_unidirectional(gamma, side, 1)
 
     @pytest.mark.parametrize("gamma,side,selector,kind", [
         (28.5, "left", "imaginary_pair", VerdictKind.LEFT_ONLY),

@@ -34,7 +34,7 @@ class TestSpec:
     def test_cell_count_takes_integral_values(self):
         assert PotentialSpec(coupling=1.0, m=2.0, L=1.0).m == 2
         assert type(PotentialSpec(coupling=1.0, m=np.int64(2), L=1.0).m) is int
-        for m in (2.5, "2", math.nan, math.inf, None):
+        for m in (2.5, "2", math.nan, math.inf, None, True, False, np.True_):
             with pytest.raises(DomainError):
                 PotentialSpec(coupling=1.0, m=m, L=1.0)
 

@@ -100,12 +100,20 @@ class TestIntegerGamma:
         assert seed_integer_gamma(n, m) == seed_integer_gamma(2, 30)
 
     @pytest.mark.parametrize("n,m", [(2.5, 30), ("2", 30), (2, math.nan),
-                                     (None, 30), (0, 10), (1, 0)])
+                                     (None, 30), (0, 10), (1, 0),
+                                     (True, 30), (2, True), (np.True_, 30),
+                                     (True, True)])
     def test_non_integral_or_small_rejected(self, n, m):
         with pytest.raises(DomainError):
             solve_integer_gamma(n, m)
         with pytest.raises(DomainError):
             seed_integer_gamma(n, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 100, 250, 500])
+    def test_unit_order_root_is_the_seed_branch_root(self, m):
+        # at n = 1 the smallest-residual branch is the one Newton reaches
+        # from seed_integer_gamma; from n = 2 on it often is not
+        assert solve_integer_gamma(1, m) == solve_general(1, m, seed_integer_gamma(1, m))
 
     def test_branch_leaving_the_domain_is_skipped(self):
         # one seed branch of n = 7, m = 1 steps out to |w| ~ 3e3 (DomainError);
@@ -297,7 +305,8 @@ class TestHalfIntegerPrintedForm:
     def test_integral_values_accepted(self):
         assert solve_half_integer(0.0, 1) == solve_half_integer(0, 1)
         assert solve_half_integer(np.int64(0), 1.0) == solve_half_integer(0, 1)
-        for p, m in [(0.5, 1), (0, 1.5), ("0", 1)]:
+        for p, m in [(0.5, 1), (0, 1.5), ("0", 1), (False, 1), (0, True),
+                     (np.False_, 1), (False, True)]:
             with pytest.raises(DomainError):
                 solve_half_integer(p, m)
 
