@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 # Library logging stays silent unless the application configures it.
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
-from .analytic import (BoundaryValues, amplitudes_analytic,
-                       amplitudes_perturbative, boundary_values,
-                       invisibility_quality)
+from .analytic import (amplitudes_analytic, amplitudes_perturbative,
+                       boundary_values, invisibility_quality)
 from .bessel import (IdentityResiduals, bessel_j, bessel_j_derivative,
                      identity_residuals, imaginary_zeros, in_hurwitz_band,
                      real_zeros)
@@ -38,8 +37,8 @@ from .singularity import (SingularitySolution, scan_singularities,
                           solve_half_integer, solve_integer_gamma,
                           table1_rows, validate_root_ode)
 from .transfer import (SampledPotential, ScatteringAmplitudes, TransferMatrix,
-                       amplitudes_from_matrix, amplitudes_numeric,
-                       left_reflection_integral, left_reflection_via_conjugate,
-                       matrix_from_amplitudes, s_boundary, transfer_matrix)
+                       amplitudes_from_matrix, left_reflection_integral,
+                       left_reflection_via_conjugate, matrix_from_amplitudes,
+                       s_boundary, transfer_matrix)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

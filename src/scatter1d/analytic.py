@@ -33,7 +33,6 @@ so the 0/0 structure never surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,25 +44,20 @@ from .transfer import SINGULARITY_EPS, ScatteringAmplitudes, _refuse_pole
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class BoundaryValues:
-    """S0 and S1 of the auxiliary system evaluated at x = L."""
+def boundary_values(ctx: WaveContext) -> tuple[complex, complex]:
+    """Closed-form (S0(L), S1(L)); integer gamma through the limit of mu.
 
-    s0_L: complex
-    s1_L: complex
-
-
-def boundary_values(ctx: WaveContext) -> BoundaryValues:
-    """Closed-form (S0(L), S1(L)); integer gamma through the limit of mu."""
+    The pair of :func:`scatter1d.transfer.s_boundary`, in the same order.
+    """
     if ctx.spec.coupling == 0:
-        return BoundaryValues(s0_L=complex(1.0), s1_L=complex(1.0))
+        return complex(1.0), complex(1.0)
     a = ctx.a_frak
     g = ctx.gamma
     mu = ctx.mu
     s0 = 1.0 - 1j * _PI * a * mu.conjugate() * bessel_j(g, a) * bessel_j(-g - 1.0, a)
     s1 = 1.0 - (1j * _PI * a * a * mu / (2.0 * g)) \
         * bessel_j(g + 1.0, a) * bessel_j(-g + 1.0, a)
-    return BoundaryValues(s0_L=s0, s1_L=s1)
+    return s0, s1
 
 
 def _denominator(g, a, mu, j_m, j_p):
@@ -157,9 +151,9 @@ def amplitudes_perturbative(ctx: WaveContext) -> ScatteringAmplitudes:
         T - 1 =  i pi m w^{n+1} / (2^{2n+1} n! (n+1)!),
         R^l   = -i pi m w^{n}   / (2^{2n-1} n ((n-1)!)^2).
     """
-    if not ctx.gamma_is_integer:
-        raise DomainError("perturbative amplitudes are defined at integer gamma only")
     n = ctx.gamma_integer
+    if n is None:
+        raise DomainError("perturbative amplitudes are defined at integer gamma only")
     if n < 1:
         raise DomainError("n must be a positive integer")
     m = ctx.spec.m

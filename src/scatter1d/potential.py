@@ -103,12 +103,8 @@ class WaveContext:
         return int(self.gamma) if self.gamma.is_integer() else None
 
     @property
-    def gamma_is_integer(self) -> bool:
-        return self.gamma.is_integer()
-
-    @property
     def eps0(self) -> complex:
-        return 1.0 - self.spec.coupling / (self.k * self.k)
+        return permittivity(self.spec, self.k).eps0
 
 
 @dataclass(frozen=True)
@@ -219,9 +215,19 @@ def evaluate_potential(spec: PotentialSpec, x: float) -> complex:
 
 
 def permittivity(spec: PotentialSpec, k: float) -> PermittivityProfile:
-    """Optical realization of the potential at wavenumber ``k``."""
+    """Optical realization of the potential at wavenumber ``k``.
+
+    Raises :class:`DomainError` naming ``k`` if eps0 = 1 - z/k^2 is not a
+    finite complex (k so small that k^2 underflows or z/k^2 overflows).
+    """
     check_wavenumber(k)
-    eps0 = 1.0 - spec.coupling / (k * k)
+    try:
+        eps0 = 1.0 - spec.coupling / (k * k)
+    except ZeroDivisionError:  # k * k underflows to 0
+        eps0 = complex(math.inf)
+    if not cmath.isfinite(eps0):
+        raise DomainError(f"k={k!r} is too small: eps0 = 1 - z/k^2 "
+                          "is not a finite complex")
     return PermittivityProfile(spec=spec, k=k, eps0=eps0)
 
 

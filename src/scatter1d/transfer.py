@@ -20,7 +20,9 @@ periodic-multilayer identity, with the power from
 ``numpy.linalg.matrix_power``.  The coefficient pair (S0, S1) behind
 :func:`s_boundary` and :func:`left_reflection_integral` is still integrated
 across the whole support, which keeps an independent check on the
-composition.
+composition.  The time-reversal route to R_left adds no evolution of its
+own: for real k its relation reduces to -M21/(M22 det M), the direct
+R_left over det M.
 
 Every evolution runs on scipy's ``solve_ivp`` with the 8th-order
 Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -40,15 +42,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateDenominatorError, DomainError,
-                     NearZeroError, SpectralSingularityError)
+from .errors import (ConvergenceError, DomainError, NearZeroError,
+                     SpectralSingularityError)
 from .potential import PotentialSpec, as_integer, check_wavenumber, evaluate_potential
 
 #: |M22| below which a configuration is reported as a spectral singularity
 #: (|T| above 1e8) instead of dividing: the one pole threshold of every route.
 SINGULARITY_EPS = 1e-8
-#: |R^r conj(R^r_{v*}) - 1| below which the time-reversal route to R_left fails.
-TIME_REVERSAL_EPS = 1e-12
 #: Local error target per step of every evolution.
 EVOLUTION_TOL = 1e-10
 #: rtol = atol of every DOP853 solve: the evolution, shooting and (S0, S1).
@@ -233,29 +233,18 @@ def matrix_from_amplitudes(amps: ScatteringAmplitudes) -> TransferMatrix:
                           m22=1.0 / t)
 
 
-def amplitudes_numeric(pot: SampledPotential, k: float) -> ScatteringAmplitudes:
-    """Convenience wrapper: integrate, then convert the matrix."""
-    return amplitudes_from_matrix(transfer_matrix(pot, k))
-
-
 def left_reflection_via_conjugate(pot: SampledPotential, k: float) -> complex:
-    """R_left through the time-reversal relation.
+    """R_left through the time-reversal relation: -M21/(M22 det M).
 
-    Combines R_left = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1) from
-    one evolution.  For real k the conjugate potential's matrix is
-    sigma_x conj(M) sigma_x, so conj(R^r_{v*}) = M21/M11 and the relation
-    gives -M21/(M22 det M), which is -M21/M22 exactly when det M = 1: the
-    route checks det M = 1.  :func:`left_reflection_integral` is the
-    independent left route.
+    For real k the conjugate potential's matrix is sigma_x conj(M) sigma_x,
+    so conj(R^r_{v*}) = M21/M11 and the relation
+    R_left = T^2 conj(R^r_{v*}) / (R^r conj(R^r_{v*}) - 1) is the direct
+    R_left over det M (its denominator is -det M/(M11 M22)).  Poles are
+    refused as in :func:`amplitudes_from_matrix`.
+    :func:`left_reflection_integral` is the independent left route.
     """
     M = transfer_matrix(pot, k)
-    amps = amplitudes_from_matrix(M)
-    rr_conj_star = M.m21 / M.m11
-    denom = amps.r_right * rr_conj_star - 1.0
-    if abs(denom) < TIME_REVERSAL_EPS:
-        raise DegenerateDenominatorError(
-            "R^r * conj(R^r_{v*}) - 1 vanishes; the relation's excluded case")
-    return amps.t * amps.t * rr_conj_star / denom
+    return amplitudes_from_matrix(M).r_left / M.determinant()
 
 
 def s_boundary(pot: SampledPotential, k: float) -> tuple[complex, complex]:
@@ -277,7 +266,8 @@ def left_reflection_integral(pot: SampledPotential, k: float) -> complex:
     -i v(x) e^{2ikx} / (2k S1(x)^2), accumulated alongside the evolution
     of (S0, S1).  Raises :class:`NearZeroError`, located at the accepted x
     nearest the zero, if the path passes within 1e-10 of a zero of S0 or
-    S1 (callers should fall back to :func:`left_reflection_via_conjugate`).
+    S1 (callers should fall back to the direct R_left of
+    :func:`amplitudes_from_matrix`).
     """
     _, _, integral = _evolve_s(pot, k, want_integral=True)
     return integral

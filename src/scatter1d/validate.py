@@ -192,10 +192,8 @@ def transfer_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     worst_routes = 0.0
     for (spec, k), amps in zip(configs[:8], evolved):
         pot = transfer.SampledPotential.from_spec(spec)
-        direct = amps.r_left
-        via_conj = transfer.left_reflection_via_conjugate(pot, k)
         integral = transfer.left_reflection_integral(pot, k)
-        worst_routes = max(worst_routes, abs(direct - via_conj), abs(direct - integral))
+        worst_routes = max(worst_routes, abs(amps.r_left - integral))
     rep.add("left-reflection-route-consistency", worst_routes < 1e-6,
             f"worst route disagreement {worst_routes:.2e}")
     return rep

@@ -15,39 +15,40 @@ from scatter1d.errors import (DegenerateDenominatorError, DomainError,
 from scatter1d.potential import PotentialSpec, from_permittivity, wave_context
 from scatter1d.singularity import solve_general, solve_integer_gamma
 from scatter1d.transfer import (SINGULARITY_EPS, SampledPotential,
-                                amplitudes_numeric, s_boundary)
+                                amplitudes_from_matrix, s_boundary,
+                                transfer_matrix)
 
 
 class TestBoundaryValues:
     def test_free_case(self):
         spec = PotentialSpec(coupling=0.0, m=1, L=math.pi)
-        bv = boundary_values(wave_context(spec, 0.7))
-        assert bv.s0_L == 1.0 and bv.s1_L == 1.0
+        s0_L, s1_L = boundary_values(wave_context(spec, 0.7))
+        assert s0_L == 1.0 and s1_L == 1.0
 
     def test_mu_zero_case(self):
         # kL in pi Z with non-integer gamma: both boundary values collapse to 1
         spec = make_spec(0.8 - 0.1j, m=2)
-        bv = boundary_values(wave_context(spec, 1.5 * spec.k0))
-        assert abs(bv.s0_L - 1.0) < 1e-14
-        assert abs(bv.s1_L - 1.0) < 1e-14
+        s0_L, s1_L = boundary_values(wave_context(spec, 1.5 * spec.k0))
+        assert abs(s0_L - 1.0) < 1e-14
+        assert abs(s1_L - 1.0) < 1e-14
 
     def test_matches_direct_evolution(self):
         spec = make_spec(0.5, m=1)
         k = 0.7 * spec.k0
-        bv = boundary_values(wave_context(spec, k))
+        s0_L, s1_L = boundary_values(wave_context(spec, k))
         s0, s1 = s_boundary(SampledPotential.from_spec(spec), k)
-        assert abs(bv.s0_L - s0) < 1e-8
-        assert abs(bv.s1_L - s1) < 1e-8
+        assert abs(s0_L - s0) < 1e-8
+        assert abs(s1_L - s1) < 1e-8
 
     def test_integer_gamma_matches_direct_evolution(self):
         # the limit mu -> (-1)^(n+1) m carries the same closed form to gamma = n
         spec = make_spec(0.5, m=1)
         for n in (1, 2, 3):
             k = n * spec.k0
-            bv = boundary_values(wave_context(spec, k))
+            s0_L, s1_L = boundary_values(wave_context(spec, k))
             s0, s1 = s_boundary(SampledPotential.from_spec(spec), k)
-            assert abs(bv.s0_L - s0) < 1e-10
-            assert abs(bv.s1_L - s1) < 1e-10
+            assert abs(s0_L - s0) < 1e-10
+            assert abs(s1_L - s1) < 1e-10
 
 
 class TestAmplitudes:
@@ -70,7 +71,7 @@ class TestAmplitudes:
         spec = make_spec(a, m)
         k = gamma * spec.k0
         ana = amplitudes_analytic(wave_context(spec, k))
-        num = amplitudes_numeric(SampledPotential.from_spec(spec), k)
+        num = amplitudes_from_matrix(transfer_matrix(SampledPotential.from_spec(spec), k))
         assert abs(ana.r_left - num.r_left) < 1e-7
         assert abs(ana.r_right - num.r_right) < 1e-7
         assert abs(ana.t - num.t) < 1e-7
@@ -217,7 +218,8 @@ class TestPoleThreshold:
         spec = make_spec(sol.a_frak * (1.0 + offset), m=sol.m)
         k = sol.gamma * spec.k0
         return (lambda: amplitudes_analytic(wave_context(spec, k)),
-                lambda: amplitudes_numeric(SampledPotential.from_spec(spec), k))
+                lambda: amplitudes_from_matrix(
+                    transfer_matrix(SampledPotential.from_spec(spec), k)))
 
     @pytest.mark.parametrize("sol", [solve_integer_gamma(1, 1),
                                      solve_general(0.5, 1, seed=1.0j)],

@@ -277,6 +277,16 @@ class TestRealZeros:
         with pytest.raises(DomainError, match="order must be finite, got nan"):
             real_zeros(math.nan, 1)
 
+    def test_order_beyond_the_bound_refused(self):
+        with pytest.raises(DomainError, match=r"^\|nu\|=31 exceeds supported bound"):
+            real_zeros(31.0, 1)
+
+    def test_zero_beyond_the_argument_bound_named(self):
+        # J_0.5 = sqrt(2/(pi w)) sin w has its zeros at j pi; the 19th lies past 60
+        with pytest.raises(ConvergenceError,
+                           match=r"^zero #19 of J_0\.5 lies beyond the \|w\| bound 60\.0$"):
+            real_zeros(0.5, 30)
+
 
 class TestImaginaryZeros:
     def test_hurwitz_band_predicate(self):

@@ -292,17 +292,22 @@ class TestClassify:
         assert doc["inconsistency"]["witnesses"] == [None, 0.5, None]
         assert doc["witnesses"]["abs_R_right"] == 0.5
 
-    def test_predicate_witness_mismatch_exits_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("json_out", [True, False], ids=["json", "text"])
+    def test_predicate_witness_mismatch_exits_4(self, tmp_path, capsys, json_out):
         # a sits 1.5e-8 off the first zero of J_2 on a slab with m large
         # enough that the residual amplitudes are decisively visible: the
         # zero-structure predicate and the witnesses then disagree
         rho = 5.135622301840683 + 1.5e-8
         m = 10000
         L = m * math.pi  # k0 = 1
-        rc = self.classify_rc(tmp_path, complex(rho * rho), m, L, 1.0)
-        doc = json.loads(capsys.readouterr().out)
+        rc = self.classify_rc(tmp_path, complex(rho * rho), m, L, 1.0, json_out=json_out)
+        out = capsys.readouterr().out
         assert rc == EXIT_INCONSISTENT
-        assert doc["inconsistency"]["type"] == "predicate_witness_mismatch"
+        if json_out:
+            assert json.loads(out)["inconsistency"]["type"] == "predicate_witness_mismatch"
+        else:
+            [line] = [s for s in out.splitlines() if s.startswith("INCONSISTENCY: ")]
+            assert '"type": "predicate_witness_mismatch"' in line
 
 
 class TestDesign:
@@ -353,6 +358,20 @@ class TestDesign:
         assert rc == EXIT_NUMERICAL
         assert not out.exists()
         assert f"gamma={float(gamma)!r}" in err and "Traceback" not in err
+
+    def test_zero_beyond_the_argument_bound_exits_3_without_an_artifact(self, tmp_path, capsys):
+        # J_2.3 has only 17 real zeros below the |w| bound
+        out = tmp_path / "f.json"
+        rc = main(["design", "--gamma", "1.3", "--side", "right", "--zero", "30",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+        assert "lies beyond the |w| bound" in err and "Traceback" not in err
+
+    def test_flags_without_gamma_exit_2(self, capsys):
+        assert main(["design", "--side", "left"]) == EXIT_SCHEMA
+        assert "design needs --gamma and --side" in capsys.readouterr().err
 
     def test_scenario_interface(self, tmp_path, capsys):
         scen = write(tmp_path / "d.json", {

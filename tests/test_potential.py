@@ -68,7 +68,7 @@ class TestMu:
         spec = PotentialSpec(coupling=1.0 + 0.5j, m=2, L=math.pi)
         ctx = wave_context(spec, 0.5 * spec.k0)
         assert ctx.mu == 0
-        assert not ctx.gamma_is_integer
+        assert ctx.gamma_integer is None
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (2, 4), (3, 2)])
     def test_integer_limit(self, n, m):
@@ -192,6 +192,21 @@ class TestPermittivity:
         spec = PotentialSpec(coupling=0.5 + 0.1j, m=2, L=1.0)
         k = 1.3 * spec.k0
         assert wave_context(spec, k).eps0 == permittivity(spec, k).eps0
+
+    @pytest.mark.parametrize("k", [1e-150, 1.3])
+    def test_finite_eps0_is_the_expression(self, k):
+        spec = PotentialSpec(coupling=1 + 1j, m=3, L=1.0)
+        assert permittivity(spec, k).eps0 == 1.0 - spec.coupling / (k * k)
+
+    @pytest.mark.parametrize("k", [1e-170, 1e-160])
+    def test_tiny_k_refused_and_named(self, k):
+        # k * k underflows to 0 at 1e-170, and z/k^2 overflows at 1e-160
+        with pytest.raises(DomainError, match=f"^k={k!r} is too small"):
+            permittivity(PotentialSpec(coupling=1 + 1j, m=3, L=1.0), k)
+        # a support this long keeps gamma = kL/(pi m) clear of the snap to 0
+        ctx = wave_context(PotentialSpec(coupling=1 + 1j, m=1, L=1e170), k)
+        with pytest.raises(DomainError, match=f"^k={k!r} is too small"):
+            ctx.eps0
 
 
 class TestBranch:

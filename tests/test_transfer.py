@@ -17,8 +17,7 @@ from scatter1d.shooting import shooting_amplitudes
 from scatter1d.singularity import solve_integer_gamma
 from scatter1d.transfer import (EVOLUTION_TOL, _STEP_TOL, SampledPotential,
                                 ScatteringAmplitudes, TransferMatrix,
-                                amplitudes_from_matrix,
-                                amplitudes_numeric, left_reflection_integral,
+                                amplitudes_from_matrix, left_reflection_integral,
                                 left_reflection_via_conjugate,
                                 matrix_from_amplitudes, s_boundary,
                                 transfer_matrix)
@@ -81,7 +80,7 @@ class TestTransferMatrix:
     def test_matches_closed_form(self):
         spec = make_spec(0.3, m=1)
         k = 1.37 * spec.k0
-        num = amplitudes_numeric(SampledPotential.from_spec(spec), k)
+        num = amplitudes_from_matrix(transfer_matrix(SampledPotential.from_spec(spec), k))
         ana = amplitudes_analytic(wave_context(spec, k))
         assert abs(num.r_left - ana.r_left) < 1e-8
         assert abs(num.r_right - ana.r_right) < 1e-8
@@ -243,7 +242,7 @@ class TestAmplitudes:
             spec = make_spec(a, m)
             pot = SampledPotential.from_spec(spec)
             k = gamma * spec.k0
-            n1 = amplitudes_numeric(pot, k)
+            n1 = amplitudes_from_matrix(transfer_matrix(pot, k))
             n2 = shooting_amplitudes(pot, k)
             assert abs(n1.r_left - n2.r_left) < 1e-6
             assert abs(n1.r_right - n2.r_right) < 1e-6
@@ -281,7 +280,7 @@ class TestLeftReflectionRoutes:
     def test_real_potential_conjugate_route(self):
         pot = bump()
         k = 1.1
-        direct = amplitudes_numeric(pot, k).r_left
+        direct = amplitudes_from_matrix(transfer_matrix(pot, k)).r_left
         assert abs(left_reflection_via_conjugate(pot, k) - direct) < 1e-8
 
     def test_vanishing_conjugate_reflection_forces_zero(self):
