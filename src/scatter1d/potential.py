@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -232,6 +233,16 @@ def permittivity(spec: PotentialSpec, k: float) -> PermittivityProfile:
 
 
 def from_permittivity(eps0: complex, k: float, m: int, L: float) -> PotentialSpec:
-    """Spec with coupling z = k^2 (1 - eps0); inverse of :func:`permittivity`."""
+    """Spec with coupling z = k^2 (1 - eps0); inverse of :func:`permittivity`.
+
+    Raises :class:`DomainError` naming ``k`` if eps0 != 1 but z underflows
+    to zero or to a subnormal, which would lose the potential or most of
+    its digits.
+    """
     check_wavenumber(k)
-    return PotentialSpec(coupling=k * k * (1.0 - complex(eps0)), m=m, L=L)
+    contrast = 1.0 - complex(eps0)
+    coupling = k * k * contrast
+    if contrast != 0 and abs(coupling) < sys.float_info.min:
+        raise DomainError(f"k={k!r} is too small: the coupling k^2 (1 - eps0) "
+                          "underflows")
+    return PotentialSpec(coupling=coupling, m=m, L=L)

@@ -5,8 +5,9 @@ d = (a_hi - a_lo) / ``cells``, for the fundamental matrix Phi that carries
 (psi, psi') across the cell.  The equation is invariant under a shift by d
 when v is, so the whole support is crossed by Phi^m, m = ``cells``, with no
 phase correction; one 4-component solve then serves both incidence
-directions, matched to plane waves at the edges.  The DOP853 driver, its
-one step tolerance and the matrix power come from
+directions, matched to plane waves at the edges.  The DOP853 driver (the
+package's own stepper on Python complex scalars, with scipy's tableau and
+step control), its one step tolerance and the matrix power come from
 :mod:`scatter1d.transfer` (``_evolve`` and ``_cell_power``).  This route's
 independence of the coefficient evolution lies in its equation (psi and
 psi' here, the coefficient pair (A, B) there) and in its plane-wave
@@ -39,8 +40,9 @@ def shooting_amplitudes(pot: SampledPotential, k: float) -> ScatteringAmplitudes
     k2 = k * k
 
     def rhs(x, y):
+        p1, p2, dp1, dp2 = y
         q = v(x) - k2
-        return [y[2], y[3], q * y[0], q * y[1]]
+        return (dp1, dp2, q * p1, q * p2)
 
     # Phi = [[psi_1, psi_2], [psi_1', psi_2']], row-major, from the identity
     cell = _evolve(rhs, a_lo, a_lo + (a_hi - a_lo) / cells, (1, 0, 0, 1), k,

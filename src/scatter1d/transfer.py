@@ -24,18 +24,21 @@ composition.  The time-reversal route to R_left adds no evolution of its
 own: for real k its relation reduces to -M21/(M22 det M), the direct
 R_left over det M.
 
-Every evolution runs on scipy's ``solve_ivp`` with the 8th-order
-Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.10), rtol = atol = 0.05 ``EVOLUTION_TOL``, through :func:`_evolve`,
-the package's one DOP853 driver; it imports ``scipy.integrate`` on the
-first solve.  The shooting oracle in :mod:`scatter1d.shooting` drives it,
-at the same tolerance, and composes its cell through :func:`_cell_power`,
-for a different equation.
+Every evolution runs the 8th-order Dormand-Prince pair DOP853 (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.10) at rtol = atol = 0.05
+``EVOLUTION_TOL`` through :func:`_evolve`, the package's one DOP853
+driver.  Its stepper, :func:`_dop853`, works on 4-tuples of Python complex
+and repeats the steps of scipy's ``solve_ivp(method="DOP853")``: the same
+tableau, read from ``scipy.integrate`` on the first solve, the same
+initial step and the same step-size controller.  The shooting oracle in
+:mod:`scatter1d.shooting` drives it, at the same tolerance, and composes
+its cell through :func:`_cell_power`, for a different equation.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -127,27 +130,149 @@ class SampledPotential:
                                 cells=self.cells)
 
 
-def _evolve(rhs: Callable[[float, np.ndarray], Sequence[complex]],
+@functools.cache
+def _tableau() -> tuple:
+    """DOP853's nonzero weights as Python floats, read from scipy's own arrays.
+
+    Returns the stages 2..12 as (c, ((j, a_j), ...)) pairs and, for every
+    stage j that B, E5 or E3 weights, (j, b_j, e5_j, e3_j).  The error
+    weights touch only the 12 stages: their 13th entry, on
+    f(x + h, y_new), is zero.
+    """
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    n = dop.N_STAGES
+    stages = tuple((float(dop.C[s]), tuple((j, float(a)) for j, a in enumerate(dop.A[s, :s]) if a))
+                   for s in range(1, n))
+    weights = tuple((j, float(b), float(e5), float(e3))
+                    for j, (b, e5, e3) in enumerate(zip(dop.B, dop.E5, dop.E3))
+                    if b or e5 or e3)
+    return stages, weights
+
+
+def _rms(v: Sequence[complex], scale: Sequence[float], n: int) -> float:
+    """scipy's RMS norm of v / scale for n true components (padding adds 0)."""
+    sq = 0.0
+    for c, s in zip(v, scale):
+        re, im = c.real / s, c.imag / s
+        sq += re * re + im * im
+    return math.sqrt(sq) / n ** 0.5
+
+
+def _dop853(rhs: Callable[[float, tuple], tuple], x0: float, x1: float,
+            y: tuple, f: tuple, n: int) -> tuple[list, list]:
+    """Accepted DOP853 points from x0 to x1 > x0 and the 4-tuple states there.
+
+    The step control is scipy's ``DOP853`` at rtol = atol = ``_STEP_TOL``:
+    ``select_initial_step`` of order 7, safety 0.9, factors within
+    [0.2, 10], exponent -1/8, the err5/err3 norm over the true component
+    count n (a padding component stays 0 and adds nothing), and no growth
+    on the step that follows a rejection.  ``f`` is rhs(x0, y); f(x, y) at
+    a new point is formed only once its step is accepted.  Raises
+    :class:`ConvergenceError` once h falls below 10 ulp of x.
+    """
+    stages, weights = _tableau()
+    tol = _STEP_TOL
+    scale = [tol + abs(c) * tol for c in y]
+    span = x1 - x0
+    d0, d1 = _rms(y, scale, n), _rms(f, scale, n)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = rhs(x0 + h0, tuple(c + h0 * g for c, g in zip(y, f)))
+    d2 = _rms([p - q for p, q in zip(f1, f)], scale, n) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, span)
+
+    x, xs, ys = x0, [x0], [y]
+    y0, y1, y2, y3 = y
+    while x < x1:
+        min_step = 10 * (math.nextafter(x, math.inf) - x)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also a NaN step
+                raise ConvergenceError(f"step size fell below 10 ulp of x={x!r}")
+            x_new = min(x + h_abs, x1)
+            h = h_abs = x_new - x
+            ks = [f]
+            for c, row in stages:
+                a0 = a1 = a2 = a3 = 0j
+                for j, a in row:
+                    k0, k1, k2, k3 = ks[j]
+                    a0 += a * k0
+                    a1 += a * k1
+                    a2 += a * k2
+                    a3 += a * k3
+                ks.append(rhs(x + c * h, (y0 + a0 * h, y1 + a1 * h,
+                                          y2 + a2 * h, y3 + a3 * h)))
+            b0 = b1 = b2 = b3 = p0 = p1 = p2 = p3 = q0 = q1 = q2 = q3 = 0j
+            for j, b, e5, e3 in weights:
+                k0, k1, k2, k3 = ks[j]
+                b0 += b * k0
+                b1 += b * k1
+                b2 += b * k2
+                b3 += b * k3
+                p0 += e5 * k0
+                p1 += e5 * k1
+                p2 += e5 * k2
+                p3 += e5 * k3
+                q0 += e3 * k0
+                q1 += e3 * k1
+                q2 += e3 * k2
+                q3 += e3 * k3
+            y_new = (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3)
+            err5 = err3 = 0.0
+            for c, c_new, p, q in zip((y0, y1, y2, y3), y_new, (p0, p1, p2, p3),
+                                      (q0, q1, q2, q3)):
+                s = tol + max(abs(c), abs(c_new)) * tol
+                re, im = p.real / s, p.imag / s
+                err5 += re * re + im * im
+                re, im = q.real / s, q.imag / s
+                err3 += re * re + im * im
+            if err5 == 0 and err3 == 0:
+                norm = 0.0
+            else:
+                norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+            if norm < 1:
+                factor = 10.0 if norm == 0 else min(10.0, 0.9 * norm ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * norm ** -0.125)
+            rejected = True
+        x = x_new
+        y0, y1, y2, y3 = y_new
+        xs.append(x)
+        ys.append(y_new)
+        if x < x1:
+            f = rhs(x, y_new)
+    return xs, ys
+
+
+def _evolve(rhs: Callable[[float, tuple], tuple],
             x0: float, x1: float, y0: Sequence[complex], k: float,
             route: str) -> tuple[np.ndarray, np.ndarray]:
     """Accepted DOP853 points from x0 to x1 and the states there, one per column.
 
+    ``rhs(x, y)`` takes and returns 4-tuples of Python complex; a state of
+    fewer components (``len(y0)``) is padded with zeros that the
+    right-hand side must keep at zero, and only its own rows are returned.
     Raises :class:`DomainError` naming ``route``, ``k`` and ``x0`` if the
-    right-hand side is not finite at the start (``solve_ivp`` would shrink
-    its step without end), and :class:`ConvergenceError` naming ``route``
-    and ``k`` if the solve fails.
+    right-hand side is not finite at the start, and
+    :class:`ConvergenceError` naming ``route`` and ``k`` if the solve
+    overflows, divides by zero or shrinks its step below 10 ulp of x.
     """
-    from scipy.integrate import solve_ivp
-    y0 = np.array(y0, dtype=complex)
-    with np.errstate(all="ignore"):
-        start = rhs(x0, y0)
-    if not np.isfinite(start).all():
-        raise DomainError(
-            f"{route} right-hand side is not finite at x0={x0!r} for k={k!r}")
-    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=_STEP_TOL, atol=_STEP_TOL)
-    if not sol.success:
-        raise ConvergenceError(f"{route} failed at k={k!r}: {sol.message}")
-    return sol.t, sol.y
+    n = len(y0)
+    y = tuple(map(complex, y0)) + (0j,) * (4 - n)
+    try:
+        f = rhs(x0, y)
+        if not all(map(cmath.isfinite, f)):
+            raise DomainError(
+                f"{route} right-hand side is not finite at x0={x0!r} for k={k!r}")
+        xs, ys = _dop853(rhs, x0, x1, y, f, n)
+    except (OverflowError, ZeroDivisionError, ConvergenceError) as exc:
+        raise ConvergenceError(f"{route} failed at k={k!r}: {exc}") from exc
+    return np.array(xs), np.array(ys, dtype=complex).T[:n]
 
 
 def _cell_power(cell: np.ndarray, cells: int, k: float, what: str) -> np.ndarray:
@@ -182,13 +307,13 @@ def transfer_matrix(pot: SampledPotential, k: float) -> TransferMatrix:
     v = pot.evaluate
     two_ik = 2j * k
 
-    def rhs(x: float, y: np.ndarray) -> tuple[complex, complex, complex, complex]:
+    def rhs(x: float, y: tuple) -> tuple[complex, complex, complex, complex]:
         vx = v(x)
         if vx == 0:
             return (0j, 0j, 0j, 0j)
         c = vx / two_ik
         e = cmath.exp(-two_ik * x)
-        u11, u12, u21, u22 = y.tolist()  # Python complex: faster arithmetic
+        u11, u12, u21, u22 = y
         return (c * (u11 + e * u21),
                 c * (u12 + e * u22),
                 -c * (u11 / e + u21),
@@ -280,16 +405,15 @@ def _evolve_s(pot: SampledPotential, k: float,
     v = pot.evaluate
     two_ik = 2j * k
 
-    def rhs(x: float, y: np.ndarray) -> tuple[complex, complex, complex]:
+    def rhs(x: float, y: tuple) -> tuple[complex, complex, complex, complex]:
         z = cmath.exp(-two_ik * x)
-        s0, s1, _ = y.tolist()
+        s0, s1, _, _ = y
         ds0 = -two_ik * z * s1
         vx = v(x)
         ds1 = 0.5j * vx / (k * z) * s0
         if want_integral:
-            dint = -0.5j * vx / (k * z * s1 * s1)
-            return (ds0, ds1, dint)
-        return (ds0, ds1, 0j)
+            return (ds0, ds1, -0.5j * vx / (k * z * s1 * s1), 0j)
+        return (ds0, ds1, 0j, 0j)
 
     z_lo = cmath.exp(-two_ik * a_lo)
     xs, path = _evolve(rhs, a_lo, a_hi, (z_lo, 1, 0), k, "evolution")

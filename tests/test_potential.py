@@ -27,7 +27,7 @@ class TestSpec:
 
     @pytest.mark.parametrize("coupling", [complex("nan"), complex("inf"), complex(1.0, math.inf)])
     def test_non_finite_coupling_refused(self, coupling):
-        # such a coupling made every integrating route hang inside solve_ivp
+        # such a coupling made every integrating route hang in its DOP853 step loop
         with pytest.raises(DomainError, match=r"coupling must be finite, got \("):
             PotentialSpec(coupling=coupling, m=1, L=math.pi)
 
@@ -207,6 +207,16 @@ class TestPermittivity:
         ctx = wave_context(PotentialSpec(coupling=1 + 1j, m=1, L=1e170), k)
         with pytest.raises(DomainError, match=f"^k={k!r} is too small"):
             ctx.eps0
+
+    @pytest.mark.parametrize("k,L", [(1e-170, 1.0), (1e-160, 1e160)])
+    def test_underflowed_coupling_refused_and_named(self, k, L):
+        # k^2 (1 - eps0) is -0 at 1e-170 and the subnormal -1e-320 at 1e-160
+        with pytest.raises(DomainError, match=f"^k={k!r} is too small"):
+            from_permittivity(2.0, k, 1, L)
+
+    def test_free_slab_at_tiny_k(self):
+        # eps0 = 1 asks for no potential, so a zero coupling loses nothing
+        assert from_permittivity(1.0, 1e-170, 1, 1.0).coupling == 0
 
 
 class TestBranch:

@@ -1,14 +1,13 @@
 import cmath
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from conftest import make_spec
-from scatter1d import validate
+from scatter1d import transfer, validate
 from scatter1d.analytic import amplitudes_analytic
 from scatter1d.errors import (ConvergenceError, DomainError, NearZeroError,
                               SpectralSingularityError)
@@ -23,6 +22,42 @@ from scatter1d.transfer import (EVOLUTION_TOL, _STEP_TOL, SampledPotential,
                                 transfer_matrix)
 
 FREE = SampledPotential(support=(0.0, 1.0), evaluate=lambda x: 0j)
+
+
+def failing_stepper(*args):
+    # the stepper's own failure: its step fell below 10 ulp of x
+    raise ConvergenceError("stub")
+
+
+def accepted_path(xs, states):
+    # a stepper that returns the given accepted points and 4-component states
+    def stepper(*args):
+        return list(xs), [tuple(map(complex, y)) for y in states]
+    return stepper
+
+
+def recorded_solves(monkeypatch) -> list:
+    # (rhs, x0, x1, y0, n, xs, ys) of every DOP853 solve made after this call
+    seen, stepper = [], transfer._dop853
+
+    def recording(rhs, x0, x1, y, f, n):
+        xs, ys = stepper(rhs, x0, x1, y, f, n)
+        seen.append((rhs, x0, x1, y, n, xs, ys))
+        return xs, ys
+
+    monkeypatch.setattr(transfer, "_dop853", recording)
+    return seen
+
+
+def scipy_path(rhs, x0, x1, y0, n):
+    # the same solve on scipy's solve_ivp, over the first n components
+    def fun(x, y):
+        return rhs(x, tuple(y.tolist()) + (0j,) * (4 - n))[:n]
+
+    sol = scipy.integrate.solve_ivp(fun, (x0, x1), np.array(y0[:n]), method="DOP853",
+                                    rtol=_STEP_TOL, atol=_STEP_TOL)
+    assert sol.success
+    return sol.t, sol.y
 
 
 def whole(pot: SampledPotential) -> SampledPotential:
@@ -108,10 +143,8 @@ class TestTransferMatrix:
             transfer_matrix(FREE, k=1.0, tol=1e-10)
 
     def test_solver_failure_is_convergence_error(self, monkeypatch):
-        result = SimpleNamespace(success=False, message="stub",
-                                 y=np.array([(1, 0, 0, 1)], dtype=complex).T)
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: result)
-        with pytest.raises(ConvergenceError, match=r"k=1\.3: stub"):
+        monkeypatch.setattr(transfer, "_dop853", failing_stepper)
+        with pytest.raises(ConvergenceError, match=r"^evolution failed at k=1\.3: stub$"):
             transfer_matrix(three_bumps(), k=1.3)
 
 
@@ -203,9 +236,8 @@ class TestShootingComposition:
         (True, (1, 2, 2, 4), r"singular at k=1\.3 over 3 cells"),
     ])
     def test_solver_failures_are_convergence_errors(self, monkeypatch, success, final, match):
-        result = SimpleNamespace(success=success, message="stub", t=np.array([0.0]),
-                                 y=np.array([final]).T)
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: result)
+        stub = accepted_path([0.0, math.pi], [(1, 0, 0, 1), final])
+        monkeypatch.setattr(transfer, "_dop853", stub if success else failing_stepper)
         with pytest.raises(ConvergenceError, match=match):
             shooting_amplitudes(three_bumps(), k=1.3)
 
@@ -321,11 +353,10 @@ class TestLeftReflectionRoutes:
         assert abs(got - leading) / abs(leading) < 0.1
 
     def test_path_near_a_zero_of_s1(self, monkeypatch):
-        # one accepted point with |S1| = 1e-11 between the ends of the path
-        path = np.array([(1, 0.5, -0.3), (1, 1e-11, 0.8), (0, 0.2, 0.4)], dtype=complex)
-        result = SimpleNamespace(success=True, message="stub", t=np.array([0, 1.3, math.pi]),
-                                 y=path)
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: result)
+        # one accepted point with |S1| = 1e-11 between the ends of the path;
+        # the states are (S0, S1, integral, padding)
+        path = [(1, 1, 0, 0), (0.5, 1e-11, 0.2, 0), (-0.3, 0.8, 0.4, 0)]
+        monkeypatch.setattr(transfer, "_dop853", accepted_path([0, 1.3, math.pi], path))
         with pytest.raises(NearZeroError, match="within 1.0e-11") as exc:
             left_reflection_integral(bump(), k=1.1)
         assert exc.value.location == 1.3
@@ -341,19 +372,57 @@ class TestLeftReflectionRoutes:
 class TestEvolveDriver:
     @pytest.mark.parametrize("route", [transfer_matrix, shooting_amplitudes, s_boundary])
     def test_every_route_solves_at_the_one_step_tolerance(self, monkeypatch, route):
-        solve_ivp, seen = scipy.integrate.solve_ivp, []
-
-        def recording(*args, **kwargs):
-            seen.append((kwargs["rtol"], kwargs["atol"]))
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+        # one solve, on the accepted points of solve_ivp at rtol = atol = _STEP_TOL
+        seen = recorded_solves(monkeypatch)
         route(three_bumps(), k=1.3)
-        assert seen == [(_STEP_TOL, _STEP_TOL)]
+        assert len(seen) == 1
+        rhs, x0, x1, y0, n, xs, _ = seen[0]
+        assert len(xs) == len(scipy_path(rhs, x0, x1, y0, n)[0])
         assert _STEP_TOL == 0.05 * EVOLUTION_TOL
+        # and the stepper reads its tolerance from that one constant
+        monkeypatch.setattr(transfer, "_STEP_TOL", 1e-6)
+        route(three_bumps(), k=1.3)
+        assert len(seen) == 2 and len(seen[1][5]) < len(xs)
 
-    # A potential that is not finite where a solve starts would make
-    # solve_ivp shrink its step without end; each route refuses it up front.
+    def test_steps_match_scipy_dop853(self, monkeypatch):
+        # the evolution, shooting and (S0, S1, integral) right-hand sides over
+        # validate's ensemble: solve_ivp's accepted point count and final state.
+        # The x grids agree only to ~1e-6 relative: the error estimate cancels
+        # to ~1e-7 of its terms, so the summation order of numpy's dot moves
+        # every later step size by rounding.
+        rng = np.random.default_rng(validate.DEFAULT_SEED)
+        pots = [(SampledPotential.from_spec(spec), k) for spec, k in
+                (validate._random_config(rng) for _ in range(validate.TRANSFER_ENSEMBLE))]
+        pots.append((three_bumps(), 1.3))
+        seen = recorded_solves(monkeypatch)
+        for pot, k in pots:
+            transfer_matrix(pot, k)
+            shooting_amplitudes(pot, k)
+            try:
+                left_reflection_integral(pot, k)
+            except NearZeroError:
+                pass
+        assert len(seen) == 3 * len(pots)
+        for rhs, x0, x1, y0, n, xs, ys in seen:
+            ref_x, ref_y = scipy_path(rhs, x0, x1, y0, n)
+            assert len(xs) == len(ref_x)
+            assert np.abs(np.array(xs) - ref_x).max() <= 1e-5 * max(1.0, abs(x1))
+            final = np.array(ys[-1][:n])
+            assert np.abs(final - ref_y[:, -1]).max() <= 1e-12 * max(1.0, np.abs(final).max())
+
+    # An overflowing cell is the documented ConvergenceError, with no
+    # RuntimeWarning on the way (the suite turns warnings into errors).
+    @pytest.mark.parametrize("value", [1e300 + 0j, 1e154 * (1 + 1j)])
+    @pytest.mark.parametrize("route,label", [(transfer_matrix, "evolution"),
+                                             (shooting_amplitudes, "shooting"),
+                                             (s_boundary, "evolution")])
+    def test_overflow_is_convergence_error(self, route, label, value):
+        pot = SampledPotential(support=(0.0, 1.0), evaluate=lambda x: value)
+        with pytest.raises(ConvergenceError, match=rf"^{label} failed at k=1\.0: "):
+            route(pot, k=1.0)
+
+    # A potential that is not finite where a solve starts would make the
+    # stepper shrink its step until it fails; each route refuses it up front.
     @pytest.mark.parametrize("value", [complex("nan"), complex("inf")])
     @pytest.mark.parametrize("route,label", [(transfer_matrix, "evolution"),
                                              (shooting_amplitudes, "shooting"),
