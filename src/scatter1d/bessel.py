@@ -86,6 +86,13 @@ def sinpi(x: float) -> float:
     return -s if (int(n) & 1) else s
 
 
+def check_order(nu: float, name: str, value) -> None:
+    """:class:`DomainError` naming ``name``=``value`` if its order ``nu`` passes NU_MAX."""
+    if nu > NU_MAX:
+        raise DomainError(f"{name}={value:.6g} needs the Bessel order nu = {nu:.6g}, "
+                          f"beyond the supported bound {NU_MAX}")
+
+
 def _beyond_floor(w, wmag):
     """Whether ``w`` (modulus ``wmag``: a complex or an ndarray) is refused.
 

@@ -14,7 +14,8 @@ be applied without recomputation.  The classifier evaluates both the
 zero-structure predicate and the closed-form amplitudes; a disagreement
 (which would indicate either a numerical fault or a common zero of
 J_{gamma+1} and J_{-gamma+1}, conjectured not to exist) is attached to
-the verdict as a structured report rather than raised.
+the verdict as a structured report rather than raised.  Designs, like
+verdicts, take gamma from :func:`scatter1d.potential.snap_gamma`.
 
 Note the convention: a is normalized against k0, not against k.  With the
 k-normalization the design equations below would not reproduce their own
@@ -24,7 +25,6 @@ against the direct solver.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,15 +34,15 @@ from typing import Optional, Union
 import numpy as np
 
 from .analytic import amplitudes_analytic, amplitudes_analytic_array
-from .bessel import NU_MAX, bessel_j, imaginary_zeros, real_zeros
+from .bessel import bessel_j, check_order, imaginary_zeros, real_zeros
 from .errors import (DomainError, NoSolutionError, Scatter1dError,
                      SpectralSingularityError)
 from .potential import (PotentialSpec, WaveContext, as_integer, from_permittivity,
-                        mu_factor_array, snap_gamma_array, wave_context)
+                        mu_factor_array, snap_gamma, snap_gamma_array, wave_context)
 
 #: Amplitude magnitude below which a channel counts as extinguished.
 VERDICT_EPS_ANALYTIC = 1e-9
-#: |J| below which the zero-structure predicate fires.
+#: |J_nu/J_{nu+1}| (the Newton step of the entire J_nu(a)/a^nu) below which a is a zero.
 ZERO_PREDICATE_EPS = 1e-8
 
 FIG1_GAMMA = 2.0062
@@ -122,10 +122,12 @@ def classify(ctx: WaveContext) -> InvisibilityVerdict:
     if ctx.spec.coupling == 0:
         raise DomainError("classification needs a nonzero coupling")
 
-    abs_j_right = abs(bessel_j(ctx.gamma + 1.0, ctx.a_frak))
-    abs_j_left = abs(bessel_j(-ctx.gamma + 1.0, ctx.a_frak))
-    zero_right = abs_j_right < ZERO_PREDICATE_EPS
-    zero_left = abs_j_left < ZERO_PREDICATE_EPS
+    g, a = ctx.gamma, ctx.a_frak
+    j_right, j_left = bessel_j(g + 1.0, a), bessel_j(1.0 - g, a)
+    # J_{gamma+2} by the recurrence, so no order passes gamma + 1
+    j_right_next = 2.0 * (g + 1.0) / a * j_right - bessel_j(g, a)
+    zero_right = abs(j_right) < ZERO_PREDICATE_EPS * abs(j_right_next)
+    zero_left = abs(j_left) < ZERO_PREDICATE_EPS * abs(bessel_j(2.0 - g, a))
     if ctx.mu == 0:
         mechanism = Mechanism.MU_ZERO
     elif zero_right and not zero_left:
@@ -161,8 +163,8 @@ def classify(ctx: WaveContext) -> InvisibilityVerdict:
             "gamma": ctx.gamma,
             "a_re": ctx.a_frak.real,
             "a_im": ctx.a_frak.imag,
-            "abs_j_right": abs_j_right,
-            "abs_j_left": abs_j_left,
+            "abs_j_right": abs(j_right),
+            "abs_j_left": abs(j_left),
             "witnesses": [rl, rr, t1],
         }
     elif kind != _expected_kind(mechanism):
@@ -190,16 +192,13 @@ def design_unidirectional(gamma: float, side: str,
     ``zero_selector`` is either a 1-based index into the positive real-axis
     zeros of the relevant Bessel function, or ``"imaginary_pair"`` for the
     purely imaginary pair (left side, gamma in (2p, 2p+1) with p >= 1, the
-    case realizable with an ordinary eps0 > 1 material).  A gamma with
-    gamma + 1 > NU_MAX raises :class:`DomainError` on either side, since
-    the closed-form amplitudes of any design need J_{gamma+1}; so does a
-    gamma so small that eps0 = 1 - a^2/gamma^2 is not a finite complex.
+    case realizable with an ordinary eps0 > 1 material), at
+    ``snap_gamma(gamma)``.  A gamma that rule refuses, or with
+    gamma + 1 > NU_MAX (any design's amplitudes need J_{gamma+1}), raises
+    :class:`DomainError`.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
-    if gamma + 1.0 > NU_MAX:
-        raise DomainError(f"gamma={gamma:.6g} needs the Bessel order nu = gamma + 1, "
-                          f"beyond the supported bound {NU_MAX}")
+    gamma = snap_gamma(gamma)
+    check_order(gamma + 1.0, "gamma", gamma)
     if side not in ("left", "right"):
         raise DomainError("side must be 'left' or 'right'")
     order = -gamma + 1.0 if side == "left" else gamma + 1.0
@@ -217,13 +216,7 @@ def design_unidirectional(gamma: float, side: str,
         rho = complex(real_zeros(order, int(zero_selector))[-1])
     else:
         raise DomainError("zero_selector must be a positive index or 'imaginary_pair'")
-    try:
-        eps0 = 1.0 - rho * rho / (gamma * gamma)
-    except ZeroDivisionError:  # gamma * gamma underflows to 0
-        eps0 = complex(math.inf)
-    if not cmath.isfinite(eps0):
-        raise DomainError(f"gamma={gamma!r} is too small: eps0 = 1 - a^2/gamma^2 "
-                          "is not a finite complex")
+    eps0 = 1.0 - rho * rho / (gamma * gamma)
     return DesignPoint(a_frak=rho, eps0=eps0, gamma=gamma, side=side)
 
 

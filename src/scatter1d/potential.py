@@ -123,21 +123,21 @@ class PermittivityProfile:
 
 
 def snap_gamma(gamma: float) -> float:
-    """``gamma``, or the integer within INTEGER_SNAP_EPS of it (as a float).
+    """``gamma`` as a float, or the integer within INTEGER_SNAP_EPS of it.
 
-    The one integer test of the package: the snapped value is the Bessel
-    order of every closed form and singularity condition.  A ``gamma``
-    that snaps to 0, or is not finite, raises :class:`DomainError`.
+    The package's one gamma rule: every closed form, design and singularity
+    condition takes the snapped value as its Bessel order.  A ``gamma``
+    that is not finite, or not positive once snapped, raises :class:`DomainError`.
     """
+    gamma = float(gamma)
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma!r}")
     n = round(gamma)
-    if abs(gamma - n) >= INTEGER_SNAP_EPS:
-        return gamma
-    if n == 0:
-        raise DomainError(
-            f"k is vanishingly small against k0 (gamma={gamma!r} snapped to 0)")
-    return float(n)
+    snapped = float(n) if abs(gamma - n) < INTEGER_SNAP_EPS else gamma
+    if not snapped > 0.0:
+        raise DomainError(f"gamma must be positive, got {gamma!r}" if snapped
+                          else f"gamma must be positive: gamma={gamma!r} snapped to 0")
+    return snapped
 
 
 def mu_factor(gamma: float, m: int) -> complex:
@@ -166,10 +166,10 @@ def mu_factor(gamma: float, m: int) -> complex:
 
 
 def snap_gamma_array(gamma: np.ndarray) -> np.ndarray:
-    """:func:`snap_gamma` elementwise, without raising.
+    """:func:`snap_gamma`'s snap elementwise, without raising.
 
-    An element that snaps to 0 comes back as 0.0, a non-finite one as is:
-    where ``snap_gamma`` raises, and the caller refuses them.
+    Where ``snap_gamma`` raises, the element comes back unchecked (snapped
+    to 0.0, non-positive or non-finite), and the caller refuses it.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = np.rint(gamma)

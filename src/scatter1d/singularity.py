@@ -9,7 +9,9 @@ exactly when
                                          / (pi (1 - e^{2 pi i m gamma}))
                                        = -2i gamma / (pi mu),
 
-solved here by Newton's method in the complex coupling parameter a.  The
+solved here by Newton's method in the complex coupling parameter a, at
+the gamma of :func:`scatter1d.potential.snap_gamma`.  Each solver refuses
+up front, naming gamma, n or p, a condition that needs J beyond NU_MAX.  The
 condition is even in a, so a and -a are one singularity; roots are
 reported with Re a >= 0 and told apart by their coupling a^2.  Every gamma
 uses this one condition: integer gamma = n is the limit
@@ -52,7 +54,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bessel import NU_MAX, W_MAX, _bracketed_roots, bessel_j
+from .bessel import W_MAX, _bracketed_roots, bessel_j, check_order
 from .errors import AccuracyError, ConvergenceError, DomainError, NoSolutionError
 from .potential import PotentialSpec, as_integer, mu_factor, snap_gamma
 from .transfer import SINGULARITY_EPS, SampledPotential, transfer_matrix
@@ -176,21 +178,18 @@ def _solve_from_seed(condition: _Condition, gamma: float, m: int,
 
 
 def _order(gamma: float) -> float:
-    """Finite positive ``gamma`` after :func:`snap_gamma`: the Bessel order."""
-    g = float(gamma)
-    if not math.isfinite(g):
-        raise DomainError(f"gamma must be finite, got {gamma!r}")
-    if not g > 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
-    return snap_gamma(g)
+    """``gamma`` after :func:`snap_gamma`, refused if J_{gamma+1} passes NU_MAX."""
+    g = snap_gamma(gamma)
+    check_order(g + 1.0, "gamma", g)
+    return g
 
 
 def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
     """Newton solve of the full singularity condition from ``seed``, at any gamma > 0.
 
-    Raises :class:`DomainError` if the condition cannot be evaluated at
-    ``seed``, and :class:`ConvergenceError` if Newton fails, including when an
-    iterate leaves the Bessel domain; both name ``gamma``, ``m`` and ``seed``.
+    Raises :class:`DomainError` for a gamma :func:`_order` refuses or a seed
+    where the condition cannot be evaluated, and :class:`ConvergenceError` if
+    Newton fails or leaves the Bessel domain; these two name gamma, m and seed.
     """
     m = as_integer("m", m, 1)
     g = _order(gamma)
@@ -209,9 +208,7 @@ def solve_general(gamma: float, m: int, seed: complex) -> SingularitySolution:
 def _integer_order(n: int) -> int:
     """``n`` as an int; the condition's J_{n+1} refuses n + 1 > NU_MAX."""
     n = as_integer("n", n, 1)
-    if n + 1 > NU_MAX:
-        raise DomainError(f"n={n:.6g} needs the Bessel order nu = n + 1, "
-                          f"beyond the supported bound {NU_MAX}")
+    check_order(n + 1, "n", n)
     return n
 
 
@@ -275,22 +272,18 @@ def solve_half_integer(p: int, m: int) -> SingularitySolution:
 
     Requires odd m (for even m the interference factor makes the condition
     unsatisfiable).  On a = ib the residual is real and
-    eps0 = 1 + b^2/gamma^2 > 1.  The orders reachable are p = 0...28 (from
-    p = 29 on, J_{p+3/2} exceeds NU_MAX and the call raises
-    :class:`DomainError` naming p before any Bessel call): every even p has
-    exactly one root on this axis in 1e-3 <= b <= W_MAX, so that window is
-    one bracket refined by Brent's method, and every odd p has none
-    (same-sign ends) and raises :class:`NoSolutionError`.  The real-a
-    segment below gamma (0 < eps0 < 1) holds no root for any of them.  See
-    the module docstring for the factor-2 caveat against the general
-    condition.
+    eps0 = 1 + b^2/gamma^2 > 1.  The orders reachable (p + 3/2 <= NU_MAX)
+    are p = 0...28: every even p has exactly one root on this axis in
+    1e-3 <= b <= W_MAX, so that window is one bracket refined by Brent's
+    method, and every odd p has none (same-sign ends) and raises
+    :class:`NoSolutionError`.  The real-a segment below gamma
+    (0 < eps0 < 1) holds no root for any of them.  See the module
+    docstring for the factor-2 caveat against the general condition.
     """
     p, m = as_integer("p", p, 0), as_integer("m", m, 1)
     if m % 2 == 0:
         raise DomainError("the half-integer closed form requires odd m")
-    if p + 1.5 > NU_MAX:
-        raise DomainError(f"p={p} needs the Bessel order nu = p + 3/2, "
-                          f"beyond the supported bound {NU_MAX}")
+    check_order(p + 1.5, "p", p)
     gamma = p + 0.5
     for b in _bracketed_roots(lambda b: half_integer_residual(p, 1j * b).real,
                               (1e-3, W_MAX)):
@@ -317,15 +310,15 @@ def validate_root_ode(sol: SingularitySolution) -> float:
     return abs(M.m22)
 
 
-def _scan_candidates(condition: _Condition, gamma: float, g: float, m: int,
+def _scan_candidates(condition: _Condition, g: float, m: int,
                      grid: tuple[int, int]) -> list[SingularitySolution]:
     """Newton roots from the ``grid`` seeds, one per coupling a^2, in seed order.
 
     A seed whose Newton solve fails (:class:`ConvergenceError`,
     :class:`NoSolutionError`, :class:`DomainError`) is skipped; an
-    :class:`AccuracyError` propagates, prefixed with the scan's ``gamma``
-    (as the caller gave it), ``m`` and the seed.  Roots with |a| outside
-    [1e-8, SCAN_RADIUS] are dropped, and a root whose coupling lies within
+    :class:`AccuracyError` propagates, prefixed with the scan's snapped
+    gamma ``g``, ``m`` and the seed.  Roots with |a| outside [1e-8,
+    SCAN_RADIUS] are dropped, and a root whose coupling lies within
     DEDUP_TOL of an earlier candidate's is dropped as a repeat.
     """
     seen: list[complex] = []  # couplings a^2
@@ -341,7 +334,7 @@ def _scan_candidates(condition: _Condition, gamma: float, g: float, m: int,
             except (ConvergenceError, NoSolutionError, DomainError):
                 continue
             except AccuracyError as exc:
-                exc.args = (f"scan_singularities(gamma={gamma!r}, m={m}) from seed "
+                exc.args = (f"scan_singularities(gamma={g!r}, m={m}) from seed "
                             f"{seed!r}: {exc.args[0]}",) + exc.args[1:]
                 raise
             # Written so that a NaN |a| is dropped too.
@@ -373,7 +366,8 @@ def scan_singularities(gamma: float, m: int,
     imaginary axis, whose real parts are rounding noise, are ordered by
     Im a.
 
-    An :class:`AccuracyError` from a Newton iterate that leaves the Bessel
+    A gamma :func:`_order` refuses raises :class:`DomainError`, and an
+    :class:`AccuracyError` from a Newton iterate that leaves the Bessel
     accuracy domain propagates, prefixed with the scan's ``gamma``, ``m``
     and the seed.  Every Newton solve runs before any ODE check, so a scan
     that raises has integrated nothing.
@@ -386,7 +380,7 @@ def scan_singularities(gamma: float, m: int,
         return []
 
     solutions: list[SingularitySolution] = []
-    for sol in _scan_candidates(condition, gamma, g, m, grid):
+    for sol in _scan_candidates(condition, g, m, grid):
         try:
             m22 = validate_root_ode(sol)
         except ConvergenceError:  # the evolution failed or overflowed

@@ -25,12 +25,13 @@ own: for real k its relation reduces to -M21/(M22 det M), the direct
 R_left over det M.
 
 Every evolution runs the 8th-order Dormand-Prince pair DOP853 (Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.10) at rtol = atol = 0.05
-``EVOLUTION_TOL`` through :func:`_evolve`, the package's one DOP853
-driver.  Its stepper, :func:`_dop853`, works on 4-tuples of Python complex
-and repeats the steps of scipy's ``solve_ivp(method="DOP853")``: the same
-tableau, read from ``scipy.integrate`` on the first solve, the same
-initial step and the same step-size controller.  The shooting oracle in
+Norsett & Wanner, Solving ODEs I, sec. II.10) at rtol = atol =
+``_STEP_TOL`` through :func:`_evolve`, the package's one DOP853 driver,
+within a step budget set by |k| and the span.  Its stepper,
+:func:`_dop853`, works on 4-tuples of Python complex and repeats the
+steps of scipy's ``solve_ivp(method="DOP853")``: the same tableau, read
+from ``scipy.integrate`` on the first solve, the same initial step and
+the same step-size controller.  The shooting oracle in
 :mod:`scatter1d.shooting` drives it, at the same tolerance, and composes
 its cell through :func:`_cell_power`, for a different equation.
 """
@@ -52,10 +53,11 @@ from .potential import PotentialSpec, as_integer, check_wavenumber, evaluate_pot
 #: |M22| below which a configuration is reported as a spectral singularity
 #: (|T| above 1e8) instead of dividing: the one pole threshold of every route.
 SINGULARITY_EPS = 1e-8
-#: Local error target per step of every evolution.
-EVOLUTION_TOL = 1e-10
-#: rtol = atol of every DOP853 solve: the evolution, shooting and (S0, S1).
-_STEP_TOL = 0.05 * EVOLUTION_TOL
+#: rtol = atol of every DOP853 solve, the double 0.05 * 1e-10 (every step depends on it).
+_STEP_TOL = 5.0000000000000005e-12
+#: Accepted steps a solve may take per unit of 1 + |k| span: every solve
+#: measured stays below 1/50 of it (156 steps at |k| span = 2.7 come closest).
+_STEP_BUDGET = 2500
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def _rms(v: Sequence[complex], scale: Sequence[float], n: int) -> float:
 
 
 def _dop853(rhs: Callable[[float, tuple], tuple], x0: float, x1: float,
-            y: tuple, f: tuple, n: int) -> tuple[list, list]:
+            y: tuple, f: tuple, n: int, max_steps: float) -> tuple[list, list]:
     """Accepted DOP853 points from x0 to x1 > x0 and the 4-tuple states there.
 
     The step control is scipy's ``DOP853`` at rtol = atol = ``_STEP_TOL``:
@@ -168,7 +170,8 @@ def _dop853(rhs: Callable[[float, tuple], tuple], x0: float, x1: float,
     count n (a padding component stays 0 and adds nothing), and no growth
     on the step that follows a rejection.  ``f`` is rhs(x0, y); f(x, y) at
     a new point is formed only once its step is accepted.  Raises
-    :class:`ConvergenceError` once h falls below 10 ulp of x.
+    :class:`ConvergenceError` once h falls below 10 ulp of x, or once
+    ``max_steps`` accepted steps have not reached x1.
     """
     stages, weights = _tableau()
     tol = _STEP_TOL
@@ -187,6 +190,8 @@ def _dop853(rhs: Callable[[float, tuple], tuple], x0: float, x1: float,
     x, xs, ys = x0, [x0], [y]
     y0, y1, y2, y3 = y
     while x < x1:
+        if len(xs) > max_steps:
+            raise ConvergenceError(f"{len(xs) - 1} accepted steps reached only x={x!r}")
         min_step = 10 * (math.nextafter(x, math.inf) - x)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -260,7 +265,8 @@ def _evolve(rhs: Callable[[float, tuple], tuple],
     Raises :class:`DomainError` naming ``route``, ``k`` and ``x0`` if the
     right-hand side is not finite at the start, and
     :class:`ConvergenceError` naming ``route`` and ``k`` if the solve
-    overflows, divides by zero or shrinks its step below 10 ulp of x.
+    overflows, divides by zero, shrinks its step below 10 ulp of x or
+    spends ``_STEP_BUDGET`` (1 + |k| (x1 - x0)) accepted steps short of x1.
     """
     n = len(y0)
     y = tuple(map(complex, y0)) + (0j,) * (4 - n)
@@ -269,7 +275,7 @@ def _evolve(rhs: Callable[[float, tuple], tuple],
         if not all(map(cmath.isfinite, f)):
             raise DomainError(
                 f"{route} right-hand side is not finite at x0={x0!r} for k={k!r}")
-        xs, ys = _dop853(rhs, x0, x1, y, f, n)
+        xs, ys = _dop853(rhs, x0, x1, y, f, n, _STEP_BUDGET * (1.0 + abs(k) * (x1 - x0)))
     except (OverflowError, ZeroDivisionError, ConvergenceError) as exc:
         raise ConvergenceError(f"{route} failed at k={k!r}: {exc}") from exc
     return np.array(xs), np.array(ys, dtype=complex).T[:n]

@@ -294,10 +294,11 @@ class TestClassify:
 
     @pytest.mark.parametrize("json_out", [True, False], ids=["json", "text"])
     def test_predicate_witness_mismatch_exits_4(self, tmp_path, capsys, json_out):
-        # a sits 1.5e-8 off the first zero of J_2 on a slab with m large
-        # enough that the residual amplitudes are decisively visible: the
+        # a sits 5e-9 off the first zero of J_2 (|J_2/J_3| ~ 5e-9, inside
+        # the predicate's 1e-8) on a slab with m large enough that the
+        # residual amplitudes are decisively visible (|T - 1| ~ 9e-5): the
         # zero-structure predicate and the witnesses then disagree
-        rho = 5.135622301840683 + 1.5e-8
+        rho = 5.135622301840683 + 5e-9
         m = 10000
         L = m * math.pi  # k0 = 1
         rc = self.classify_rc(tmp_path, complex(rho * rho), m, L, 1.0, json_out=json_out)
@@ -349,8 +350,7 @@ class TestDesign:
     @pytest.mark.parametrize("gamma", ["1e-200", "1e-160"])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_tiny_gamma_exits_3_without_an_artifact(self, tmp_path, capsys, gamma, side):
-        # such a gamma passes the option check, but eps0 = 1 - a^2/gamma^2
-        # is not a finite complex
+        # such a gamma passes the option check, but snaps to 0
         out = tmp_path / "tiny.json"
         rc = main(["design", "--gamma", gamma, "--side", side, "--zero", "1",
                    "--out", str(out)])

@@ -59,8 +59,10 @@ class TestClassify:
 
     def test_common_zero_report_reuses_predicate_values(self, monkeypatch):
         # with the predicate threshold raised both zero predicates fire, so
-        # the verdict carries a common-zero report built from the two J
-        # values the predicate already computed
+        # the verdict carries a common-zero report built from the J values
+        # the predicate already computed: J_{gamma+1} and J_{1-gamma}, each
+        # tested against its next order (J_{gamma+2} by the recurrence from
+        # J_gamma, so no order passes gamma + 1)
         monkeypatch.setattr(invisibility, "ZERO_PREDICATE_EPS", 1e3)
         orders = []
 
@@ -72,7 +74,7 @@ class TestClassify:
         ctx = wave_context(make_spec(0.3 - 0.1j, m=1), 1.3)
         verdict = classify(ctx)
         rl, rr, t1 = verdict.witnesses
-        assert orders == [ctx.gamma + 1.0, -ctx.gamma + 1.0]
+        assert orders == [ctx.gamma + 1.0, 1.0 - ctx.gamma, ctx.gamma, 2.0 - ctx.gamma]
         assert verdict.inconsistency == {
             "type": "common_zero_candidate",
             "gamma": ctx.gamma,
@@ -82,6 +84,18 @@ class TestClassify:
             "abs_j_left": abs(bessel_j(-ctx.gamma + 1.0, ctx.a_frak)),
             "witnesses": [rl, rr, t1],
         }
+
+    @pytest.mark.parametrize("gamma", [2.3, 4.7])
+    @pytest.mark.parametrize("coupling", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_weak_coupling_is_not_a_bessel_zero(self, gamma, coupling, m):
+        # a = 1e-3..0.1 lies far below the first zeros of J_{gamma+1} and
+        # J_{1-gamma}, though |J_{gamma+1}(a)| ~ (a/2)^{gamma+1} is tiny there
+        spec = PotentialSpec(coupling=coupling, m=m, L=m * math.pi)
+        verdict = classify(wave_context(spec, gamma * spec.k0))
+        assert verdict.mechanism is Mechanism.NONE
+        assert verdict.kind is VerdictKind.VISIBLE
+        assert verdict.inconsistency is None
 
     def test_rejects_free_space(self):
         spec = PotentialSpec(coupling=0.0, m=1, L=math.pi)
@@ -199,8 +213,14 @@ class TestDesign:
     @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_gamma_must_be_positive_and_finite(self, gamma, side):
-        with pytest.raises(DomainError,
-                           match=re.escape(f"gamma must be positive and finite, got {gamma!r}")):
+        # the messages of snap_gamma, the one gamma rule
+        if not math.isfinite(gamma):
+            expected = f"gamma must be finite, got {gamma!r}"
+        elif gamma == 0:
+            expected = f"gamma must be positive: gamma={gamma!r} snapped to 0"
+        else:
+            expected = f"gamma must be positive, got {gamma!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
             design_unidirectional(gamma, side, "imaginary_pair")
 
     @pytest.mark.parametrize("gamma,side", [(40.5, "left"), (29.5, "right")])
@@ -210,13 +230,22 @@ class TestDesign:
         with pytest.raises(DomainError, match=re.escape(f"gamma={gamma:g} needs")):
             design_unidirectional(gamma, side, "imaginary_pair" if side == "left" else 1)
 
-    @pytest.mark.parametrize("gamma", [1e-200, 1e-160])
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-160, 1e-12])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_refuses_gamma_whose_eps0_is_not_finite(self, gamma, side):
-        # gamma * gamma underflows to 0 at 1e-200 and to a subnormal at
-        # 1e-160, where a^2 / gamma^2 overflows
-        with pytest.raises(DomainError, match=re.escape(f"gamma={gamma!r} is too small")):
+        # at 1e-200 gamma * gamma underflows to 0, at 1e-160 a^2 / gamma^2
+        # overflows, and at 1e-12 eps0 = 1 - a^2/gamma^2 reads -1.47e25 on the
+        # right; snap_gamma refuses each as snapped to 0 before eps0
+        with pytest.raises(DomainError, match=re.escape(f"gamma={gamma!r} snapped to 0")):
             design_unidirectional(gamma, side, 1)
+
+    def test_designs_at_the_snapped_gamma(self):
+        # 2 + 5e-10 snaps to 2, as classify reads it: J_{-1} has no purely
+        # imaginary zeros (before, the search for J_{-1-5e-10}'s failed)
+        with pytest.raises(NoSolutionError, match=r"^J_-1 has no purely imaginary zeros"):
+            design_unidirectional(2 + 5e-10, "left", "imaginary_pair")
+        assert design_unidirectional(2 + 5e-10, "right", 1) \
+            == design_unidirectional(2, "right", 1)
 
     @pytest.mark.parametrize("gamma,side,selector,kind", [
         (28.5, "left", "imaginary_pair", VerdictKind.LEFT_ONLY),

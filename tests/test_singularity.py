@@ -172,6 +172,17 @@ class TestGeneralGamma:
                            match=r"gamma must be positive|n must be an integer >= 1"):
             solve(gamma)
 
+    @pytest.mark.parametrize("solve,gamma", [
+        (lambda g: scan_singularities(g, 1), 29.5),
+        (lambda g: solve_general(g, 1, 0.5 + 0.5j), 35),
+    ], ids=["scan_singularities", "solve_general"])
+    def test_order_beyond_the_bound_is_refused_up_front(self, solve, gamma):
+        # the condition needs J_{gamma+1}; before this refusal the scan
+        # skipped every seed and returned [], and solve_general blamed the seed
+        with pytest.raises(DomainError, match=rf"^gamma={gamma:g} needs the Bessel "
+                                              rf"order nu = {gamma + 1:g}, beyond"):
+            solve(gamma)
+
     def test_condition_is_even_in_a(self):
         gamma, m = 0.8, 3
         rhs = 4 * gamma * math.sin(math.pi * gamma) \

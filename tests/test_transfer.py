@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scatter1d.errors import (ConvergenceError, DomainError, NearZeroError,
 from scatter1d.potential import PotentialSpec, wave_context
 from scatter1d.shooting import shooting_amplitudes
 from scatter1d.singularity import solve_integer_gamma
-from scatter1d.transfer import (EVOLUTION_TOL, _STEP_TOL, SampledPotential,
+from scatter1d.transfer import (_STEP_TOL, SampledPotential,
                                 ScatteringAmplitudes, TransferMatrix,
                                 amplitudes_from_matrix, left_reflection_integral,
                                 left_reflection_via_conjugate,
@@ -40,8 +41,8 @@ def recorded_solves(monkeypatch) -> list:
     # (rhs, x0, x1, y0, n, xs, ys) of every DOP853 solve made after this call
     seen, stepper = [], transfer._dop853
 
-    def recording(rhs, x0, x1, y, f, n):
-        xs, ys = stepper(rhs, x0, x1, y, f, n)
+    def recording(rhs, x0, x1, y, f, n, max_steps):
+        xs, ys = stepper(rhs, x0, x1, y, f, n, max_steps)
         seen.append((rhs, x0, x1, y, n, xs, ys))
         return xs, ys
 
@@ -378,7 +379,6 @@ class TestEvolveDriver:
         assert len(seen) == 1
         rhs, x0, x1, y0, n, xs, _ = seen[0]
         assert len(xs) == len(scipy_path(rhs, x0, x1, y0, n)[0])
-        assert _STEP_TOL == 0.05 * EVOLUTION_TOL
         # and the stepper reads its tolerance from that one constant
         monkeypatch.setattr(transfer, "_STEP_TOL", 1e-6)
         route(three_bumps(), k=1.3)
@@ -420,6 +420,17 @@ class TestEvolveDriver:
         pot = SampledPotential(support=(0.0, 1.0), evaluate=lambda x: value)
         with pytest.raises(ConvergenceError, match=rf"^{label} failed at k=1\.0: "):
             route(pot, k=1.0)
+
+    def test_step_budget_ends_a_solve_that_cannot_finish(self):
+        # steps of ~1e-15 over a unit support: without a budget the solve
+        # runs for practically ever; the budget is 2500 (1 + |k| span)
+        pot = SampledPotential(support=(0.0, 1.0), evaluate=lambda x: 1e30j)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError,
+                           match=r"^evolution failed at k=1\.0: 5000 accepted steps "
+                                 r"reached only x=\S+$"):
+            transfer_matrix(pot, k=1.0)
+        assert time.perf_counter() - start < 2.0
 
     # A potential that is not finite where a solve starts would make the
     # stepper shrink its step until it fails; each route refuses it up front.
