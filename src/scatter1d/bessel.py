@@ -1,12 +1,15 @@
 """Bessel functions of the first kind, real order, complex argument.
 
-J_nu(w) is ``scipy.special.jv`` (AMOS, Amos 1986, ACM TOMS 644) behind a
-thin wrapper that keeps the package's domain.  Around it sit derivatives,
+J_nu(w) is scipy's AMOS kernel (Amos 1986, ACM TOMS 644) behind a thin
+wrapper that keeps the package's domain.  Scalars call it through
+``scipy.special.cython_special.jv``, without the ufunc's per-call
+dispatch; arrays go through the ``scipy.special.jv`` ufunc.  Both reach
+the same kernel and give the same bits.  Around it sit derivatives,
 residuals of the classical identities (which double as this module's
 internal consistency oracle), real-axis zeros and the Hurwitz pair of
 purely imaginary zeros.  The zero searches bracket sign changes of J_nu on
-the real axis (``scipy.special.jv``) and of I_nu on the imaginary one
-(``scipy.special.iv``) and refine them with ``scipy.optimize.brentq``,
+the real axis (``cython_special.jv``) and of I_nu on the imaginary one
+(``cython_special.iv``) and refine them with ``scipy.optimize.brentq``,
 which :func:`_bracketed_roots` imports on its first refinement.
 
 Wrapper rules
@@ -27,8 +30,8 @@ Wrapper rules
   nu and w.
 
 :func:`bessel_j_array` applies the same rules to arrays, with one
-``scipy.special.jv`` call per branch.  It marks what ``bessel_j`` would
-refuse instead of raising.
+``scipy.special.jv`` ufunc call per branch.  It marks what ``bessel_j``
+would refuse instead of raising.
 
 Derivatives use the standard identity ``J'_nu(w) = J_{nu-1}(w) -
 (nu/w) J_nu(w)``.  (A variant with a stray factor of ``w`` on the first
@@ -41,10 +44,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import iv, jv
+from scipy.special import cython_special, jv
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .potential import as_integer
@@ -107,16 +110,20 @@ def _beyond_floor(w, wmag):
 
 
 def _jv(nu: float, w: complex) -> complex:
-    """``scipy.special.jv`` with the side of the cut set by the sign of Im w."""
+    """J_nu(w) from AMOS, with the side of the cut set by the sign of Im w.
+
+    ``cython_special.jv`` is the kernel behind the ``scipy.special.jv``
+    ufunc, called without the ufunc's dispatch: the same bits for one value.
+    """
     if w.imag == 0.0 and w.real > 0.0:
-        return complex(jv(nu, w.real))
+        return complex(cython_special.jv(nu, w.real))
     if math.copysign(1.0, w.imag) < 0.0:
-        return complex(jv(nu, w.conjugate())).conjugate()
-    return complex(jv(nu, w))
+        return cython_special.jv(nu, w.conjugate()).conjugate()
+    return cython_special.jv(nu, w)
 
 
 def bessel_j(nu: float, w: complex) -> complex:
-    """J_nu(w) for real ``nu`` and complex ``w``, from ``scipy.special.jv``.
+    """J_nu(w) for real ``nu`` and complex ``w``, from scipy's AMOS kernel.
 
     Error within 5e-9 max(|J_nu|, |J_{nu+1}|) throughout the domain (see
     :func:`_beyond_floor`); continuous in ``nu`` across integers.  Raises :class:`DomainError` for non-finite input, outside
@@ -161,8 +168,8 @@ def bessel_j_array(nu: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     finite here, where ``bessel_j`` may still reach a value by its
     recurrence step: evaluate those through ``bessel_j``.  J is
     unspecified there.  Every other element equals ``bessel_j``'s value
-    bit for bit, because the same cut rules pick the same
-    ``scipy.special.jv`` call (see the module docstring).
+    bit for bit: the same cut rules pick the same branch of the same AMOS
+    kernel, through the ufunc here (see the module docstring).
     """
     nu, w = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(w, dtype=complex))
     out = np.empty(w.shape, dtype=complex)
@@ -226,7 +233,7 @@ def _bracketed_roots(func: Callable[[float], float],
 def real_zeros(nu: float, count: int) -> list[float]:
     """The first ``count`` positive zeros of J_nu, in increasing order.
 
-    J_nu on the real axis is taken from ``scipy.special.jv``.  Its sign
+    J_nu on the real axis is taken from ``cython_special.jv``.  Its sign
     changes are bracketed on a grid of step pi/4, small against the
     asymptotic ~pi spacing, from max(0.05, nu) (all positive zeros exceed
     nu for nu > 0) up to W_MAX - 1, and refined by Brent's method.  Each
@@ -241,7 +248,7 @@ def real_zeros(nu: float, count: int) -> list[float]:
         raise DomainError(f"|nu|={abs(nu):.3g} exceeds supported bound {NU_MAX}")
     zeros: list[float] = []
     grid = np.arange(max(0.05, nu), W_MAX - 1.0, 0.25 * math.pi).tolist()
-    for root in _bracketed_roots(lambda x: jv(nu, x), grid):
+    for root in _bracketed_roots(lambda x: cython_special.jv(nu, x), grid):
         if abs(bessel_j(nu, complex(root))) > TOL_ZERO:
             raise ConvergenceError(f"zero refinement of J_{nu} stalled near {root:.6f}")
         zeros.append(root)
@@ -269,7 +276,7 @@ def imaginary_zeros(nu: float) -> Optional[float]:
 
     None outside a Hurwitz band (:func:`in_hurwitz_band`).  On the
     imaginary axis J_nu(iy)/(iy/2)^nu = I_nu(y)/(y/2)^nu, real and taken
-    from ``scipy.special.iv``.  In a Hurwitz band this profile starts
+    from ``cython_special.iv``.  In a Hurwitz band this profile starts
     negative (1/Gamma(nu+1) < 0), grows without bound and has exactly one
     positive zero (Hurwitz 1889; Watson, sec. 15.27), so the window
     1e-4 <= y <= W_MAX is one bracket, refined by Brent's method.
@@ -277,9 +284,55 @@ def imaginary_zeros(nu: float) -> Optional[float]:
     nu = float(nu)
     if not in_hurwitz_band(nu):
         return None
-    for root in _bracketed_roots(lambda y: iv(nu, y) / (0.5 * y) ** nu, (1e-4, W_MAX)):
+    for root in _bracketed_roots(lambda y: cython_special.iv(nu, y) / (0.5 * y) ** nu,
+                                 (1e-4, W_MAX)):
         return root
     raise ConvergenceError(f"imaginary zero of J_{nu} not found in [1e-4, {W_MAX}]")
+
+
+def _identity_orders(nu: float) -> tuple[float, ...]:
+    """The orders :func:`identity_residuals` takes J at, in its argument order.
+
+    nu, nu + 1, nu - 1, -nu, -nu - 1 and 1 - nu at w; the continuation
+    takes J_nu once more at :func:`_reflected` w.
+    """
+    return (nu, nu + 1.0, nu - 1.0, -nu, -nu - 1.0, 1.0 - nu)
+
+
+def _reflected(w: complex) -> complex:
+    """e^{i pi} w, pinned to the side of the cut that arg(w) +- pi lands on.
+
+    For real w the signed zero of -(x+0j) would fall on the wrong side of
+    the cut, so the imaginary part is pinned to +0.0 there.
+    """
+    return complex(-w.real, 0.0) if w.imag == 0.0 else -w
+
+
+def _residuals(nu: float, w: complex, values: Sequence[complex],
+               j_reflected: complex) -> IdentityResiduals:
+    """The four residuals at (nu, w) from J there at :func:`_identity_orders`.
+
+    ``j_reflected`` is J_nu at :func:`_reflected` w.  Python complex
+    arithmetic throughout, so the same values give the same bits however
+    they were evaluated.
+    """
+    j_nu, j_p1, j_m1, j_neg, j_negm1, j_1mnu = values
+    # Continuation picks the sign keeping arg inside the principal branch:
+    # the reflection must land at arg(w) +- pi in (-pi, pi].
+    sign = 1.0 if cmath.phase(w) <= 0.0 else -1.0
+    continuation = abs(j_reflected - cmath.exp(1j * math.pi * nu * sign) * j_nu)
+    sin_pn = sinpi(nu)
+    cross_sum = abs(j_p1 * j_neg + j_nu * j_negm1 + 2.0 * sin_pn / (math.pi * w))
+    cross_diff = abs(j_p1 * j_1mnu - j_m1 * j_negm1 - 4.0 * nu * sin_pn / (math.pi * w * w))
+    return IdentityResiduals(continuation=continuation, cross_sum=cross_sum,
+                             cross_diff=cross_diff,
+                             recurrence=_recurrence_residual(nu, w, j_m1, j_nu, j_p1))
+
+
+def _recurrence_residual(nu: float, w: complex, j_m1: complex, j_nu: complex,
+                         j_p1: complex) -> float:
+    """|w J_{nu+1} - 2 nu J_nu + w J_{nu-1}| from the three values."""
+    return abs(w * j_p1 - 2.0 * nu * j_nu + w * j_m1)
 
 
 def identity_residuals(nu: float, w: complex) -> IdentityResiduals:
@@ -292,24 +345,5 @@ def identity_residuals(nu: float, w: complex) -> IdentityResiduals:
     w = complex(w)
     if w == 0:
         raise DomainError("identity residuals need w != 0")
-    j_nu = bessel_j(nu, w)
-    j_p1 = bessel_j(nu + 1.0, w)
-    j_m1 = bessel_j(nu - 1.0, w)
-    j_neg = bessel_j(-nu, w)
-    j_negm1 = bessel_j(-nu - 1.0, w)
-    j_1mnu = bessel_j(1.0 - nu, w)
-
-    # Continuation picks the sign keeping arg inside the principal branch.
-    # The reflection e^{i pi} w must land at arg(w) +- pi in (-pi, pi]; for
-    # real w the signed zero of -(x+0j) would fall on the wrong side of the
-    # cut, so the imaginary part is pinned to +0.0 there.
-    sign = 1.0 if cmath.phase(w) <= 0.0 else -1.0
-    reflected = complex(-w.real, 0.0) if w.imag == 0.0 else -w
-    continuation = abs(bessel_j(nu, reflected) - cmath.exp(1j * math.pi * nu * sign) * j_nu)
-
-    sin_pn = sinpi(nu)
-    cross_sum = abs(j_p1 * j_neg + j_nu * j_negm1 + 2.0 * sin_pn / (math.pi * w))
-    cross_diff = abs(j_p1 * j_1mnu - j_m1 * j_negm1 - 4.0 * nu * sin_pn / (math.pi * w * w))
-    recurrence = abs(w * j_p1 - 2.0 * nu * j_nu + w * j_m1)
-    return IdentityResiduals(continuation=continuation, cross_sum=cross_sum,
-                             cross_diff=cross_diff, recurrence=recurrence)
+    return _residuals(nu, w, [bessel_j(order, w) for order in _identity_orders(nu)],
+                      bessel_j(nu, _reflected(w)))

@@ -17,6 +17,7 @@ to the permittivity at the left face of the slab.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ class PotentialSpec:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "L", float(self.L))
 
-    @property
+    @functools.cached_property
     def k0(self) -> float:
         return self.m * math.pi / self.L
 

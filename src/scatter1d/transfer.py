@@ -28,10 +28,16 @@ Every evolution runs the 8th-order Dormand-Prince pair DOP853 (Hairer,
 Norsett & Wanner, Solving ODEs I, sec. II.10) at rtol = atol =
 ``_STEP_TOL`` through :func:`_evolve`, the package's one DOP853 driver,
 within a step budget set by |k| and the span.  Its stepper,
-:func:`_dop853`, works on 4-tuples of Python complex and repeats the
-steps of scipy's ``solve_ivp(method="DOP853")``: the same tableau, read
-from ``scipy.integrate`` on the first solve, the same initial step and
-the same step-size controller.  The shooting oracle in
+:func:`_dop853`, works on n-tuples of Python complex (n = 4 for the
+coefficient and shooting propagators, 3 for (S0, S1) and the integral)
+and repeats the steps of scipy's ``solve_ivp(method="DOP853")``: the
+same tableau, the same initial step and the same step-size controller.
+Each step is straight-line code, :func:`_step`, generated once per n on
+the first solve from the nonzero entries of ``scipy.integrate``'s
+tableau, with the tolerance passed in per call.  No numpy enters the
+step: numpy's complex multiply and ``abs`` round differently from
+Python's (fused multiply-add), and every step size depends on the last
+bit of the error estimate.  The shooting oracle in
 :mod:`scatter1d.shooting` drives it, at the same tolerance, and composes
 its cell through :func:`_cell_power`, for a different equation.
 """
@@ -122,7 +128,7 @@ class SampledPotential:
     @classmethod
     def from_spec(cls, spec: PotentialSpec) -> "SampledPotential":
         return cls(support=(0.0, spec.L),
-                   evaluate=lambda x: evaluate_potential(spec, x),
+                   evaluate=functools.partial(evaluate_potential, spec),
                    cells=spec.m)
 
     def conjugate(self) -> "SampledPotential":
@@ -133,54 +139,88 @@ class SampledPotential:
 
 
 @functools.cache
-def _tableau() -> tuple:
-    """DOP853's nonzero weights as Python floats, read from scipy's own arrays.
+def _step(n: int) -> Callable:
+    """The straight-line DOP853 step for n-component states, generated once per n.
 
-    Returns the stages 2..12 as (c, ((j, a_j), ...)) pairs and, for every
-    stage j that B, E5 or E3 weights, (j, b_j, e5_j, e3_j).  The error
-    weights touch only the 12 stages: their 13th entry, on
+    ``step(rhs, x, h, y, f, tol)`` returns (y_new, err5, err3): the 8th-order
+    state at x + h and the squared err5 and err3 sums of scipy's error
+    norm, each component scaled by tol + max(|y|, |y_new|) tol.  Its
+    source holds one line per stage and per sum, written out from the
+    nonzero entries of scipy's own ``dop853_coefficients`` arrays.  Every
+    weight is a complex constant w + 0j: a float weight would first try
+    ``float.__mul__``, which returns NotImplemented, and then form the
+    same complex product with the same bits.  Each sum starts at 0j and
+    adds its terms in stage order, as a loop over the tableau would.  The
+    error weights touch only the 12 stages: their 13th entry, on
     f(x + h, y_new), is zero.
     """
     from scipy.integrate._ivp import dop853_coefficients as dop
-    n = dop.N_STAGES
-    stages = tuple((float(dop.C[s]), tuple((j, float(a)) for j, a in enumerate(dop.A[s, :s]) if a))
-                   for s in range(1, n))
-    weights = tuple((j, float(b), float(e5), float(e3))
-                    for j, (b, e5, e3) in enumerate(zip(dop.B, dop.E5, dop.E3))
-                    if b or e5 or e3)
-    return stages, weights
+
+    def names(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    def weighted(weights, stages: int, i: int) -> str:
+        return " + ".join(["0j"] + [f"{complex(w)!r} * k{j}_{i}"
+                                    for j, w in enumerate(weights[:stages]) if w])
+
+    lines = ["def step(rhs, x, h, y, f, tol):",
+             f"    {names('y')}, = y",
+             f"    {names('k0_')}, = f"]
+    for s in range(1, dop.N_STAGES):
+        args = ", ".join(f"y{i} + ({weighted(dop.A[s], s, i)}) * h" for i in range(n))
+        lines.append(f"    {names(f'k{s}_')}, = rhs(x + {float(dop.C[s])!r} * h, ({args},))")
+    for i in range(n):
+        lines += [f"    n{i} = y{i} + h * ({weighted(dop.B, dop.N_STAGES, i)})",
+                  f"    p{i} = {weighted(dop.E5, dop.N_STAGES, i)}",
+                  f"    q{i} = {weighted(dop.E3, dop.N_STAGES, i)}"]
+    lines.append("    err5 = err3 = 0.0")
+    for i in range(n):
+        lines += [f"    a = abs(y{i})",
+                  f"    b = abs(n{i})",
+                  "    s = tol + (b if b > a else a) * tol",  # max(a, b), NaN included
+                  f"    re = p{i}.real / s",
+                  f"    im = p{i}.imag / s",
+                  "    err5 += re * re + im * im",
+                  f"    re = q{i}.real / s",
+                  f"    im = q{i}.imag / s",
+                  "    err3 += re * re + im * im"]
+    lines.append(f"    return ({names('n')},), err5, err3")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", f"<dop853 step, n={n}>", "exec"), namespace)
+    return namespace["step"]
 
 
-def _rms(v: Sequence[complex], scale: Sequence[float], n: int) -> float:
-    """scipy's RMS norm of v / scale for n true components (padding adds 0)."""
+def _rms(v: Sequence[complex], scale: Sequence[float]) -> float:
+    """scipy's RMS norm of v / scale."""
     sq = 0.0
     for c, s in zip(v, scale):
         re, im = c.real / s, c.imag / s
         sq += re * re + im * im
-    return math.sqrt(sq) / n ** 0.5
+    return math.sqrt(sq) / len(v) ** 0.5
 
 
 def _dop853(rhs: Callable[[float, tuple], tuple], x0: float, x1: float,
             y: tuple, f: tuple, n: int, max_steps: float) -> tuple[list, list]:
-    """Accepted DOP853 points from x0 to x1 > x0 and the 4-tuple states there.
+    """Accepted DOP853 points from x0 to x1 > x0 and the n-tuple states there.
 
-    The step control is scipy's ``DOP853`` at rtol = atol = ``_STEP_TOL``:
+    Each step is the straight-line :func:`_step` for n components, at the
+    tolerance ``_STEP_TOL`` holds when the solve starts.  The step control
+    is scipy's ``DOP853`` at rtol = atol = that tolerance:
     ``select_initial_step`` of order 7, safety 0.9, factors within
-    [0.2, 10], exponent -1/8, the err5/err3 norm over the true component
-    count n (a padding component stays 0 and adds nothing), and no growth
-    on the step that follows a rejection.  ``f`` is rhs(x0, y); f(x, y) at
-    a new point is formed only once its step is accepted.  Raises
-    :class:`ConvergenceError` once h falls below 10 ulp of x, or once
-    ``max_steps`` accepted steps have not reached x1.
+    [0.2, 10], exponent -1/8, the err5/err3 norm over the n components,
+    and no growth on the step that follows a rejection.  ``f`` is
+    rhs(x0, y); f(x, y) at a new point is formed only once its step is
+    accepted.  Raises :class:`ConvergenceError` once h falls below 10 ulp
+    of x, or once ``max_steps`` accepted steps have not reached x1.
     """
-    stages, weights = _tableau()
+    step = _step(n)
     tol = _STEP_TOL
     scale = [tol + abs(c) * tol for c in y]
     span = x1 - x0
-    d0, d1 = _rms(y, scale, n), _rms(f, scale, n)
+    d0, d1 = _rms(y, scale), _rms(f, scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1 = rhs(x0 + h0, tuple(c + h0 * g for c, g in zip(y, f)))
-    d2 = _rms([p - q for p, q in zip(f1, f)], scale, n) / h0
+    d2 = _rms([p - q for p, q in zip(f1, f)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -188,7 +228,6 @@ def _dop853(rhs: Callable[[float, tuple], tuple], x0: float, x1: float,
     h_abs = min(100 * h0, h1, span)
 
     x, xs, ys = x0, [x0], [y]
-    y0, y1, y2, y3 = y
     while x < x1:
         if len(xs) > max_steps:
             raise ConvergenceError(f"{len(xs) - 1} accepted steps reached only x={x!r}")
@@ -200,41 +239,7 @@ def _dop853(rhs: Callable[[float, tuple], tuple], x0: float, x1: float,
                 raise ConvergenceError(f"step size fell below 10 ulp of x={x!r}")
             x_new = min(x + h_abs, x1)
             h = h_abs = x_new - x
-            ks = [f]
-            for c, row in stages:
-                a0 = a1 = a2 = a3 = 0j
-                for j, a in row:
-                    k0, k1, k2, k3 = ks[j]
-                    a0 += a * k0
-                    a1 += a * k1
-                    a2 += a * k2
-                    a3 += a * k3
-                ks.append(rhs(x + c * h, (y0 + a0 * h, y1 + a1 * h,
-                                          y2 + a2 * h, y3 + a3 * h)))
-            b0 = b1 = b2 = b3 = p0 = p1 = p2 = p3 = q0 = q1 = q2 = q3 = 0j
-            for j, b, e5, e3 in weights:
-                k0, k1, k2, k3 = ks[j]
-                b0 += b * k0
-                b1 += b * k1
-                b2 += b * k2
-                b3 += b * k3
-                p0 += e5 * k0
-                p1 += e5 * k1
-                p2 += e5 * k2
-                p3 += e5 * k3
-                q0 += e3 * k0
-                q1 += e3 * k1
-                q2 += e3 * k2
-                q3 += e3 * k3
-            y_new = (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3)
-            err5 = err3 = 0.0
-            for c, c_new, p, q in zip((y0, y1, y2, y3), y_new, (p0, p1, p2, p3),
-                                      (q0, q1, q2, q3)):
-                s = tol + max(abs(c), abs(c_new)) * tol
-                re, im = p.real / s, p.imag / s
-                err5 += re * re + im * im
-                re, im = q.real / s, q.imag / s
-                err3 += re * re + im * im
+            y_new, err5, err3 = step(rhs, x, h, y, f, tol)
             if err5 == 0 and err3 == 0:
                 norm = 0.0
             else:
@@ -245,12 +250,11 @@ def _dop853(rhs: Callable[[float, tuple], tuple], x0: float, x1: float,
                 break
             h_abs *= max(0.2, 0.9 * norm ** -0.125)
             rejected = True
-        x = x_new
-        y0, y1, y2, y3 = y_new
+        x, y = x_new, y_new
         xs.append(x)
-        ys.append(y_new)
+        ys.append(y)
         if x < x1:
-            f = rhs(x, y_new)
+            f = rhs(x, y)
     return xs, ys
 
 
@@ -259,26 +263,24 @@ def _evolve(rhs: Callable[[float, tuple], tuple],
             route: str) -> tuple[np.ndarray, np.ndarray]:
     """Accepted DOP853 points from x0 to x1 and the states there, one per column.
 
-    ``rhs(x, y)`` takes and returns 4-tuples of Python complex; a state of
-    fewer components (``len(y0)``) is padded with zeros that the
-    right-hand side must keep at zero, and only its own rows are returned.
-    Raises :class:`DomainError` naming ``route``, ``k`` and ``x0`` if the
-    right-hand side is not finite at the start, and
+    ``rhs(x, y)`` takes and returns n-tuples of Python complex, n =
+    ``len(y0)``.  Raises :class:`DomainError` naming ``route``, ``k`` and
+    ``x0`` if the right-hand side is not finite at the start, and
     :class:`ConvergenceError` naming ``route`` and ``k`` if the solve
     overflows, divides by zero, shrinks its step below 10 ulp of x or
     spends ``_STEP_BUDGET`` (1 + |k| (x1 - x0)) accepted steps short of x1.
     """
-    n = len(y0)
-    y = tuple(map(complex, y0)) + (0j,) * (4 - n)
+    y = tuple(map(complex, y0))
     try:
         f = rhs(x0, y)
         if not all(map(cmath.isfinite, f)):
             raise DomainError(
                 f"{route} right-hand side is not finite at x0={x0!r} for k={k!r}")
-        xs, ys = _dop853(rhs, x0, x1, y, f, n, _STEP_BUDGET * (1.0 + abs(k) * (x1 - x0)))
+        xs, ys = _dop853(rhs, x0, x1, y, f, len(y),
+                         _STEP_BUDGET * (1.0 + abs(k) * (x1 - x0)))
     except (OverflowError, ZeroDivisionError, ConvergenceError) as exc:
         raise ConvergenceError(f"{route} failed at k={k!r}: {exc}") from exc
-    return np.array(xs), np.array(ys, dtype=complex).T[:n]
+    return np.array(xs), np.array(ys, dtype=complex).T
 
 
 def _cell_power(cell: np.ndarray, cells: int, k: float, what: str) -> np.ndarray:
@@ -411,15 +413,15 @@ def _evolve_s(pot: SampledPotential, k: float,
     v = pot.evaluate
     two_ik = 2j * k
 
-    def rhs(x: float, y: tuple) -> tuple[complex, complex, complex, complex]:
+    def rhs(x: float, y: tuple) -> tuple[complex, complex, complex]:
         z = cmath.exp(-two_ik * x)
-        s0, s1, _, _ = y
+        s0, s1, _ = y
         ds0 = -two_ik * z * s1
         vx = v(x)
         ds1 = 0.5j * vx / (k * z) * s0
         if want_integral:
-            return (ds0, ds1, -0.5j * vx / (k * z * s1 * s1), 0j)
-        return (ds0, ds1, 0j, 0j)
+            return (ds0, ds1, -0.5j * vx / (k * z * s1 * s1))
+        return (ds0, ds1, 0j)
 
     z_lo = cmath.exp(-two_ik * a_lo)
     xs, path = _evolve(rhs, a_lo, a_hi, (z_lo, 1, 0), k, "evolution")

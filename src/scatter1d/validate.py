@@ -45,42 +45,70 @@ class SuiteReport:
         self.results.append(PropertyResult(name, bool(passed), detail))
 
 
-def _identity_grid() -> list[tuple[float, complex]]:
+def _identity_grid() -> tuple[list[float], list[complex]]:
+    """The identity grid's orders and the arguments each order is checked at."""
     orders = [-9.7, -5.5, -2.3, -1.0062, -0.6, 0.3, 0.5, 1.25, 2.5, 4.8, 7.3, 9.9]
     radii = [0.4, 1.7, 5.0, 9.0, 11.9]
     phases = [0.0, 0.6, 1.2, math.pi / 2, 2.3, math.pi, -0.8, -math.pi / 2, -2.6]
-    return [(nu, r * complex(math.cos(p), math.sin(p)))
-            for nu in orders for r in radii for p in phases]
+    return orders, [r * complex(math.cos(p), math.sin(p)) for r in radii for p in phases]
 
 
-def _recurrence_grid() -> list[tuple[float, complex]]:
+def _recurrence_grid() -> tuple[list[float], list[complex]]:
+    """The recurrence grid's orders and the arguments each order is checked at."""
     orders = [-9.5, -4.2, -1.5, 0.0, 0.5, 2.0, 3.7, 6.0, 10.0]
     radii = [0.7, 3.0, 11.0, 14.0, 22.0, 30.0]
     phases = [0.0, 0.5, 1.0, math.pi / 2, 2.2, math.pi, -0.7, -2.0]
-    return [(nu, r * complex(math.cos(p), math.sin(p)))
-            for nu in orders for r in radii for p in phases]
+    return orders, [r * complex(math.cos(p), math.sin(p)) for r in radii for p in phases]
+
+
+def _j_rows(orders: list[float], args: list[list[complex]]) -> list[list[complex]]:
+    """J_{orders[i]}(args[i][j]) as Python complex, from one ``bessel_j_array`` call.
+
+    An element that the array form refuses is taken from ``bessel_j``, so
+    every value is ``bessel_j``'s, bit for bit.
+    """
+    values, refused = bessel.bessel_j_array(np.array(orders)[:, None], np.array(args))
+    rows = values.tolist()
+    for i, j in zip(*np.nonzero(refused)):
+        rows[i][j] = bessel.bessel_j(orders[i], args[i][j])
+    return rows
+
+
+def _identity_worst() -> float:
+    """Worst scaled residual of the four identities over the identity grid."""
+    orders, ws = _identity_grid()
+    worst = 0.0
+    for nu in orders:
+        at = bessel._identity_orders(nu)
+        rows = _j_rows([*at, nu], [ws] * len(at) + [[bessel._reflected(w) for w in ws]])
+        for w, *values, j_reflected in zip(ws, *rows):
+            res = bessel._residuals(nu, w, values, j_reflected)
+            j_nu, j_p1, _, j_neg, j_negm1, _ = values
+            scale = max(abs(j_p1 * j_neg), abs(j_nu * j_negm1), 1.0)
+            worst = max(worst, res.cross_sum / scale, res.cross_diff / scale,
+                        res.continuation / max(abs(j_nu), 1.0))
+    return worst
+
+
+def _recurrence_worst() -> float:
+    """Worst scaled residual of the three-term recurrence over the recurrence grid."""
+    orders, ws = _recurrence_grid()
+    worst = 0.0
+    for nu in orders:
+        for w, jm, j0, jp in zip(ws, *_j_rows([nu - 1, nu, nu + 1], [ws] * 3)):
+            scale = max(abs(jm), abs(j0), abs(jp), 1.0)
+            worst = max(worst, bessel._recurrence_residual(nu, w, jm, j0, jp) / scale)
+    return worst
 
 
 def bessel_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     rep = SuiteReport(suite="bessel", seed=seed)
     J = bessel.bessel_j
 
-    worst = 0.0
-    for nu, w in _identity_grid():
-        res = bessel.identity_residuals(nu, w)
-        scale = max(abs(J(nu + 1, w) * J(-nu, w)), abs(J(nu, w) * J(-nu - 1, w)), 1.0)
-        worst = max(worst, res.cross_sum / scale, res.cross_diff / scale,
-                    res.continuation / max(abs(J(nu, w)), 1.0))
+    worst = _identity_worst()
     rep.add("identity-residuals-moderate-args", worst < 1e-10,
             f"worst scaled residual {worst:.2e} (bound 1e-10)")
-
-    worst = 0.0
-    for nu, w in _recurrence_grid():
-        if w == 0:
-            continue
-        jm, j0, jp = J(nu - 1, w), J(nu, w), J(nu + 1, w)
-        scale = max(abs(jm), abs(j0), abs(jp), 1.0)
-        worst = max(worst, abs(w * jp - 2 * nu * j0 + w * jm) / scale)
+    worst = _recurrence_worst()
     rep.add("recurrence-residual-large-grid", worst < 1e-10,
             f"worst scaled residual {worst:.2e} over |w| <= 30 (bound 1e-10)")
 

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.special import iv
+from scipy.special import iv, jv
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -458,6 +458,69 @@ class TestFamilyMemo:
             got2 = bessel_j(nu, w2)
             assert bits(got1) == bits(ref1)
             assert bits(got2) == bits(ref2)
+
+
+def ufunc_jv(nu: float, w: complex) -> complex:
+    # the cut rules on the scipy.special.jv ufunc, as bessel_j applied them
+    # before it called the Cython kernel
+    if w.imag == 0.0 and w.real > 0.0:
+        return complex(jv(nu, w.real))
+    if math.copysign(1.0, w.imag) < 0.0:
+        return complex(jv(nu, w.conjugate())).conjugate()
+    return complex(jv(nu, w))
+
+
+def kernel_sample() -> list[tuple[float, complex]]:
+    # orders over |nu| <= 30, a fifth of them integers and a fifth
+    # half-integers; |w| from 1e-12 to 60 in both half-planes, the positive
+    # real axis and -x +- 0i; and the corner where AMOS reports overflow
+    rng = np.random.default_rng(20261021)
+    nu = rng.uniform(-30.0, 30.0, 2600)
+    nu[::5] = np.round(nu[::5])
+    nu[1::5] = np.round(nu[1::5]) + 0.5
+    r = 10.0 ** rng.uniform(-12.0, math.log10(W_MAX), 2600)
+    w = r[:2000] * np.exp(1j * rng.uniform(-math.pi, math.pi, 2000))
+    points = list(zip(nu[:2000].tolist(), w.tolist()))
+    for order, x in zip(nu[2000:].tolist(), r[2000:].tolist()):
+        points += [(order, complex(x, 0.0)), (order, complex(x, -0.0)),
+                   (order, complex(-x, 0.0)), (order, complex(-x, -0.0))]
+    return points + [(-29.5, 8.26e-10j), (-29.5, complex(-8.26e-10, 0.0)),
+                     (-29.5, 6e-10 + 5e-10j), (-29.5, 1e-12), (-24.5, 1e-15j)]
+
+
+def outcome(f, *args):
+    # the value's bits, or the error's type and message
+    try:
+        return bits(f(*args))
+    except Scatter1dError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCythonKernel:
+    """Scalar J and I on scipy's Cython kernel equal the ufunc, bit for bit."""
+
+    def test_jv_equals_the_ufunc(self):
+        for nu, w in kernel_sample():
+            assert bits(bessel._jv(nu, w)) == bits(ufunc_jv(nu, w)), (nu, w)
+
+    def test_bessel_j_equals_the_ufunc_reference(self, monkeypatch):
+        sample = kernel_sample()
+        got = [outcome(bessel_j, nu, w) for nu, w in sample]
+        monkeypatch.setattr(bessel, "_jv", ufunc_jv)
+        expected = [outcome(bessel_j, nu, w) for nu, w in sample]
+        assert sum(isinstance(e[0], str) and e[0].endswith("Error") for e in expected) > 10
+        assert got == expected
+
+    def test_zeros_equal_the_ufunc_reference(self, monkeypatch):
+        real_orders = (-1.5, 0.0, 0.3, 2.0062, 7.3, 29.5)
+        imaginary_orders = (-1.0062, -3.2, -17.5, -29.5)
+        got = ([real_zeros(nu, 5) for nu in real_orders],
+               [imaginary_zeros(nu) for nu in imaginary_orders])
+        monkeypatch.setattr(bessel, "cython_special", types.SimpleNamespace(jv=jv, iv=iv))
+        expected = ([real_zeros(nu, 5) for nu in real_orders],
+                    [imaginary_zeros(nu) for nu in imaginary_orders])
+        assert got == expected
+        assert all(type(x) is float for zs in got[0] for x in zs)
 
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)

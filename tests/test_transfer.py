@@ -31,7 +31,7 @@ def failing_stepper(*args):
 
 
 def accepted_path(xs, states):
-    # a stepper that returns the given accepted points and 4-component states
+    # a stepper that returns the given accepted points and states
     def stepper(*args):
         return list(xs), [tuple(map(complex, y)) for y in states]
     return stepper
@@ -50,15 +50,116 @@ def recorded_solves(monkeypatch) -> list:
     return seen
 
 
-def scipy_path(rhs, x0, x1, y0, n):
-    # the same solve on scipy's solve_ivp, over the first n components
+def scipy_path(rhs, x0, x1, y0):
+    # the same solve on scipy's solve_ivp
     def fun(x, y):
-        return rhs(x, tuple(y.tolist()) + (0j,) * (4 - n))[:n]
+        return rhs(x, tuple(y.tolist()))
 
-    sol = scipy.integrate.solve_ivp(fun, (x0, x1), np.array(y0[:n]), method="DOP853",
+    sol = scipy.integrate.solve_ivp(fun, (x0, x1), np.array(y0), method="DOP853",
                                     rtol=_STEP_TOL, atol=_STEP_TOL)
     assert sol.success
     return sol.t, sol.y
+
+
+def interpreted_dop853(rhs, x0, x1, y, n):
+    # The stepper as it ran before the straight-line step, kept as the
+    # reference: a loop over scipy's tableau on 4-tuples, an n = 3 state
+    # padded with a zero component that its right-hand side keeps at zero.
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    stages = [(float(dop.C[s]), [(j, float(a)) for j, a in enumerate(dop.A[s, :s]) if a])
+              for s in range(1, dop.N_STAGES)]
+    weights = [(j, float(b), float(e5), float(e3))
+               for j, (b, e5, e3) in enumerate(zip(dop.B, dop.E5, dop.E3)) if b or e5 or e3]
+    pad = (0j,) * (4 - n)
+
+    def rhs4(x, y4):
+        return tuple(rhs(x, y4[:n])) + pad
+
+    def rms(v, scale):
+        sq = 0.0
+        for c, s in zip(v, scale):
+            re, im = c.real / s, c.imag / s
+            sq += re * re + im * im
+        return math.sqrt(sq) / n ** 0.5
+
+    tol = transfer._STEP_TOL
+    y = tuple(y) + pad
+    f = rhs4(x0, y)
+    scale = [tol + abs(c) * tol for c in y]
+    span = x1 - x0
+    d0, d1 = rms(y, scale), rms(f, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = rhs4(x0 + h0, tuple(c + h0 * g for c, g in zip(y, f)))
+    d2 = rms([p - q for p, q in zip(f1, f)], scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.125)
+    h_abs = min(100 * h0, h1, span)
+    x, xs, ys = x0, [x0], [y[:n]]
+    y0, y1, y2, y3 = y
+    while x < x1:
+        min_step = 10 * (math.nextafter(x, math.inf) - x)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            x_new = min(x + h_abs, x1)
+            h = h_abs = x_new - x
+            ks = [f]
+            for c, row in stages:
+                a0 = a1 = a2 = a3 = 0j
+                for j, a in row:
+                    k0, k1, k2, k3 = ks[j]
+                    a0 += a * k0
+                    a1 += a * k1
+                    a2 += a * k2
+                    a3 += a * k3
+                ks.append(rhs4(x + c * h, (y0 + a0 * h, y1 + a1 * h,
+                                           y2 + a2 * h, y3 + a3 * h)))
+            b0 = b1 = b2 = b3 = p0 = p1 = p2 = p3 = q0 = q1 = q2 = q3 = 0j
+            for j, b, e5, e3 in weights:
+                k0, k1, k2, k3 = ks[j]
+                b0 += b * k0
+                b1 += b * k1
+                b2 += b * k2
+                b3 += b * k3
+                p0 += e5 * k0
+                p1 += e5 * k1
+                p2 += e5 * k2
+                p3 += e5 * k3
+                q0 += e3 * k0
+                q1 += e3 * k1
+                q2 += e3 * k2
+                q3 += e3 * k3
+            y_new = (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3)
+            err5 = err3 = 0.0
+            for c, c_new, p, q in zip((y0, y1, y2, y3), y_new, (p0, p1, p2, p3),
+                                      (q0, q1, q2, q3)):
+                s = tol + max(abs(c), abs(c_new)) * tol
+                re, im = p.real / s, p.imag / s
+                err5 += re * re + im * im
+                re, im = q.real / s, q.imag / s
+                err3 += re * re + im * im
+            if err5 == 0 and err3 == 0:
+                norm = 0.0
+            else:
+                norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+            if norm < 1:
+                factor = 10.0 if norm == 0 else min(10.0, 0.9 * norm ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * norm ** -0.125)
+            rejected = True
+        x = x_new
+        y0, y1, y2, y3 = y_new
+        xs.append(x)
+        ys.append(y_new[:n])
+        if x < x1:
+            f = rhs4(x, y_new)
+    return xs, ys
+
+
+def state_bits(states) -> list:
+    # float.hex tells +0.0 from -0.0, which == does not
+    return [[(c.real.hex(), c.imag.hex()) for c in y] for y in states]
 
 
 def whole(pot: SampledPotential) -> SampledPotential:
@@ -355,8 +456,8 @@ class TestLeftReflectionRoutes:
 
     def test_path_near_a_zero_of_s1(self, monkeypatch):
         # one accepted point with |S1| = 1e-11 between the ends of the path;
-        # the states are (S0, S1, integral, padding)
-        path = [(1, 1, 0, 0), (0.5, 1e-11, 0.2, 0), (-0.3, 0.8, 0.4, 0)]
+        # the states are (S0, S1, integral)
+        path = [(1, 1, 0), (0.5, 1e-11, 0.2), (-0.3, 0.8, 0.4)]
         monkeypatch.setattr(transfer, "_dop853", accepted_path([0, 1.3, math.pi], path))
         with pytest.raises(NearZeroError, match="within 1.0e-11") as exc:
             left_reflection_integral(bump(), k=1.1)
@@ -377,8 +478,8 @@ class TestEvolveDriver:
         seen = recorded_solves(monkeypatch)
         route(three_bumps(), k=1.3)
         assert len(seen) == 1
-        rhs, x0, x1, y0, n, xs, _ = seen[0]
-        assert len(xs) == len(scipy_path(rhs, x0, x1, y0, n)[0])
+        rhs, x0, x1, y0, _, xs, _ = seen[0]
+        assert len(xs) == len(scipy_path(rhs, x0, x1, y0)[0])
         # and the stepper reads its tolerance from that one constant
         monkeypatch.setattr(transfer, "_STEP_TOL", 1e-6)
         route(three_bumps(), k=1.3)
@@ -404,11 +505,34 @@ class TestEvolveDriver:
                 pass
         assert len(seen) == 3 * len(pots)
         for rhs, x0, x1, y0, n, xs, ys in seen:
-            ref_x, ref_y = scipy_path(rhs, x0, x1, y0, n)
+            ref_x, ref_y = scipy_path(rhs, x0, x1, y0)
             assert len(xs) == len(ref_x)
             assert np.abs(np.array(xs) - ref_x).max() <= 1e-5 * max(1.0, abs(x1))
             final = np.array(ys[-1][:n])
             assert np.abs(final - ref_y[:, -1]).max() <= 1e-12 * max(1.0, np.abs(final).max())
+
+    def test_steps_bit_equal_to_the_interpreted_stage_loop(self, monkeypatch):
+        # the straight-line step against the loop over the tableau: the same
+        # accepted x and the same states to the last bit, for the evolution
+        # and shooting (n = 4) and the (S0, S1, integral) route (n = 3)
+        rng = np.random.default_rng(validate.DEFAULT_SEED)
+        pots = [(SampledPotential.from_spec(spec), k) for spec, k in
+                (validate._random_config(rng) for _ in range(validate.TRANSFER_ENSEMBLE))]
+        pots.append((three_bumps(), 1.3))
+        seen = recorded_solves(monkeypatch)
+        for pot, k in pots:
+            transfer_matrix(pot, k)
+            shooting_amplitudes(pot, k)
+            try:
+                left_reflection_integral(pot, k)
+            except NearZeroError:
+                pass
+        assert sorted({n for *_, n, _, _ in seen}) == [3, 4]
+        for rhs, x0, x1, y0, n, xs, ys in seen:
+            assert len(y0) == n and all(len(y) == n for y in ys)
+            ref_x, ref_y = interpreted_dop853(rhs, x0, x1, y0, n)
+            assert [x.hex() for x in xs] == [x.hex() for x in ref_x]
+            assert state_bits(ys) == state_bits(ref_y)
 
     # An overflowing cell is the documented ConvergenceError, with no
     # RuntimeWarning on the way (the suite turns warnings into errors).
