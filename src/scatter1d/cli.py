@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``sweep``, ``singularity``, ``classify``, ``design``,
-``validate``.  Scenario files are JSON documents validated against the
-schema below before anything runs; outputs are byte-deterministic for a
-given scenario and seed (JSON floats use the shortest round-trip form,
-CSV uses 17 significant digits and CRLF line endings).
+``validate``.  Scenario files are UTF-8 JSON documents, checked against
+the field tables below (:func:`_check_scenario`) before anything runs; a
+refusal names the dotted path of the key and its value.  Outputs are
+byte-deterministic for a given scenario and seed (JSON floats use the
+shortest round-trip form, CSV uses 17 significant digits and CRLF line
+endings).
 
 Exit codes: 0 success (including structured no-solution results),
 1 validation-suite failure, 2 scenario/schema error (including an output
@@ -47,109 +49,40 @@ EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
 EXIT_INCONSISTENT = 4
 
-_POTENTIAL_COUPLING = {
-    "type": "object",
-    "properties": {
-        "coupling_re": {"type": "number"},
-        "coupling_im": {"type": "number"},
-        "m": {"type": "integer", "minimum": 1},
-        "L_um": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["coupling_re", "coupling_im", "m", "L_um"],
-    "additionalProperties": False,
+# The scenario format.  Each block maps its keys to (kind, lower bound,
+# exclusive?); a kind is "number" (int or float, not bool), "integer" (a
+# number with an integral value, so 2.0 counts), "string", "zero" (an
+# integer >= 1 or "imaginary_pair") or a tuple of the allowed strings.
+_REAL = ("number", None, False)
+_TEXT = ("string", None, False)
+_POSITIVE = ("number", 0, True)
+_COUNT = ("integer", 1, False)
+
+_COUPLING_FIELDS = {"coupling_re": _REAL, "coupling_im": _REAL, "m": _COUNT,
+                    "L_um": _POSITIVE}
+_EPS0_FIELDS = {"eps0_re": _REAL, "eps0_im": _REAL, "m": _COUNT, "L_um": _POSITIVE,
+                "gamma": _POSITIVE}
+
+# analysis type -> (fields, required keys)
+_ANALYSES = {
+    "sweep": ({"type": _TEXT, "lambda_min_nm": _POSITIVE,
+               "lambda_max_nm": _POSITIVE, "samples": ("integer", 2, False)},
+              ("type", "lambda_min_nm", "lambda_max_nm", "samples")),
+    "classify": ({"type": _TEXT, "gamma": _POSITIVE}, ("type",)),
+    "design": ({"type": _TEXT, "gamma": _POSITIVE,
+                "side": (("left", "right"), None, False), "zero": ("zero", None, False)},
+               ("type", "gamma", "side", "zero")),
+    "singularity": ({"type": _TEXT,
+                     "mode": (("integer", "general", "half_integer"), None, False),
+                     "n": _COUNT, "m": _COUNT, "gamma": _POSITIVE,
+                     "p": ("integer", 0, False), "seed_re": _REAL, "seed_im": _REAL},
+                    ("type", "mode")),
 }
 
-_POTENTIAL_EPS0 = {
-    "type": "object",
-    "properties": {
-        "eps0_re": {"type": "number"},
-        "eps0_im": {"type": "number"},
-        "m": {"type": "integer", "minimum": 1},
-        "L_um": {"type": "number", "exclusiveMinimum": 0},
-        "gamma": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["eps0_re", "eps0_im", "m", "L_um", "gamma"],
-    "additionalProperties": False,
-}
+_OUTPUT_FIELDS = {"path": _TEXT, "format": (("csv", "json"), None, False)}
 
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "potential": {"oneOf": [_POTENTIAL_COUPLING, _POTENTIAL_EPS0]},
-        "analysis": {
-            "type": "object",
-            "oneOf": [
-                {
-                    "properties": {
-                        "type": {"const": "sweep"},
-                        "lambda_min_nm": {"type": "number", "exclusiveMinimum": 0},
-                        "lambda_max_nm": {"type": "number", "exclusiveMinimum": 0},
-                        "samples": {"type": "integer", "minimum": 2},
-                    },
-                    "required": ["type", "lambda_min_nm", "lambda_max_nm", "samples"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "type": {"const": "classify"},
-                        "gamma": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["type"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "type": {"const": "design"},
-                        "gamma": {"type": "number", "exclusiveMinimum": 0},
-                        "side": {"enum": ["left", "right"]},
-                        "zero": {
-                            "oneOf": [{"type": "integer", "minimum": 1},
-                                      {"const": "imaginary_pair"}],
-                        },
-                    },
-                    "required": ["type", "gamma", "side", "zero"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "type": {"const": "singularity"},
-                        "mode": {"enum": ["integer", "general", "half_integer"]},
-                        "n": {"type": "integer", "minimum": 1},
-                        "m": {"type": "integer", "minimum": 1},
-                        "gamma": {"type": "number", "exclusiveMinimum": 0},
-                        "p": {"type": "integer", "minimum": 0},
-                        "seed_re": {"type": "number"},
-                        "seed_im": {"type": "number"},
-                    },
-                    "required": ["type", "mode"],
-                    "additionalProperties": False,
-                },
-            ],
-        },
-        "output": {
-            "type": "object",
-            "properties": {
-                "path": {"type": "string"},
-                "format": {"enum": ["csv", "json"]},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["analysis"],
-    "additionalProperties": False,
-}
-
-
-@functools.cache
-def _scenario_validator():
-    """The schema's validator, built on the first scenario read.
-
-    jsonschema is imported here, not at start-up: ``singularity --table1``
-    and ``design`` without ``--scenario`` read no scenario.  Built once,
-    because jsonschema.validate would re-check the schema on every call.
-    """
-    import jsonschema
-    return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+# The top level holds blocks, which _check_scenario checks one by one.
+_SCENARIO_FIELDS = dict.fromkeys(("potential", "analysis", "output"))
 
 
 class _SchemaError(Exception):
@@ -176,16 +109,88 @@ def _finite_int(literal: str) -> int:
 
 def _load_scenario(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float,
                             parse_int=_finite_int)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    from jsonschema.exceptions import best_match
-    error = best_match(_scenario_validator().iter_errors(doc))
-    if error is not None:
-        raise _SchemaError(f"scenario failed schema validation: {error.message}")
+    _check_scenario(doc)
     return doc
+
+
+def _invalid(where: str, problem: str) -> NoReturn:
+    raise _SchemaError(f"scenario failed schema validation: {where}: {problem}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _check_value(where: str, value, kind, bound, exclusive: bool) -> None:
+    if kind == "zero":
+        if value != "imaginary_pair" and not (_is_integer(value) and value >= 1):
+            _invalid(where, f'{json.dumps(value)} is not a positive integer '
+                            'or "imaginary_pair"')
+        return
+    if isinstance(kind, tuple):
+        if not (isinstance(value, str) and value in kind):
+            _invalid(where, f"{json.dumps(value)} is not one of {json.dumps(list(kind))}")
+        return
+    if kind == "string":
+        ok = isinstance(value, str)
+    else:
+        ok = _is_number(value) if kind == "number" else _is_integer(value)
+    if not ok:
+        _invalid(where, f"{json.dumps(value)} is not of type {kind!r}")
+    if bound is not None and (value <= bound if exclusive else value < bound):
+        relation = "less than or equal to" if exclusive else "less than"
+        _invalid(where, f"{json.dumps(value)} is {relation} the minimum of {bound}")
+
+
+def _check_block(where: str, block, fields: dict, required) -> None:
+    """Refuse ``block`` unless it is an object of ``fields`` with every ``required`` key.
+
+    A field whose entry is None holds a block, which the caller checks.
+    """
+    if not isinstance(block, dict):
+        _invalid(where, f"{json.dumps(block)} is not of type 'object'")
+    for key in required:
+        if key not in block:
+            _invalid(where, f"missing required key {key!r}")
+    for key, value in block.items():
+        if key not in fields:
+            _invalid(where, f"unexpected key {key!r}")
+        if fields[key] is not None:
+            _check_value(f"{where}.{key}", value, *fields[key])
+
+
+def _check_scenario(doc) -> None:
+    """Refuse a scenario outside the format, naming the key and the value.
+
+    The potential form follows from its keys and the analysis form from
+    its ``type``: the forms of a block have disjoint required keys and
+    admit no key outside their own, so no other form could accept it.
+    """
+    _check_block("scenario", doc, _SCENARIO_FIELDS, ("analysis",))
+    if "potential" in doc:
+        block = doc["potential"]
+        coupling = isinstance(block, dict) and ("coupling_re" in block
+                                                or "coupling_im" in block)
+        fields = _COUPLING_FIELDS if coupling else _EPS0_FIELDS
+        _check_block("potential", block, fields, fields)
+    analysis = doc["analysis"]
+    if isinstance(analysis, dict) and "type" in analysis:
+        _check_value("analysis.type", analysis["type"], tuple(_ANALYSES), None, False)
+        fields, required = _ANALYSES[analysis["type"]]
+    else:
+        fields, required = {}, ("type",)
+    _check_block("analysis", analysis, fields, required)
+    if "output" in doc:
+        _check_block("output", doc["output"], _OUTPUT_FIELDS, ())
 
 
 def _potential_from_block(block: dict) -> tuple[PotentialSpec, Optional[float]]:

@@ -33,11 +33,11 @@ coefficient and shooting propagators, 3 for (S0, S1) and the integral)
 and repeats the steps of scipy's ``solve_ivp(method="DOP853")``: the
 same tableau, the same initial step and the same step-size controller.
 Each step is straight-line code, :func:`_step`, generated once per n on
-the first solve from the nonzero entries of ``scipy.integrate``'s
-tableau, with the tolerance passed in per call.  No numpy enters the
-step: numpy's complex multiply and ``abs`` round differently from
-Python's (fused multiply-add), and every step size depends on the last
-bit of the error estimate.  The shooting oracle in
+the first solve from the nonzero entries of scipy's tableau, which this
+module holds as literals, with the tolerance passed in per call.  No
+numpy enters the step: numpy's complex multiply and ``abs`` round
+differently from Python's (fused multiply-add), and every step size
+depends on the last bit of the error estimate.  The shooting oracle in
 :mod:`scatter1d.shooting` drives it, at the same tolerance, and composes
 its cell through :func:`_cell_power`, for a different equation.
 """
@@ -138,6 +138,59 @@ class SampledPotential:
                                 cells=self.cells)
 
 
+#: scipy's DOP853 tableau (``scipy.integrate._ivp.dop853_coefficients``, from
+#: Hairer's dop853.f), the 12 stages the step uses, each entry the repr of
+#: scipy's double: nodes C, stage weights A (row s holds A[s, :s]), the
+#: 8th-order weights B and the error weights E5 and E3, whose 13th entry,
+#: on f(x + h, y_new), is zero.  Written out so that no solve loads
+#: ``scipy.integrate``; a test compares them with scipy's arrays bit for bit.
+_DOP853_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0
+)
+
+_DOP853_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+)
+
+_DOP853_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259
+)
+
+_DOP853_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294
+)
+
+_DOP853_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082
+)
+
+
 @functools.cache
 def _step(n: int) -> Callable:
     """The straight-line DOP853 step for n-component states, generated once per n.
@@ -146,33 +199,29 @@ def _step(n: int) -> Callable:
     state at x + h and the squared err5 and err3 sums of scipy's error
     norm, each component scaled by tol + max(|y|, |y_new|) tol.  Its
     source holds one line per stage and per sum, written out from the
-    nonzero entries of scipy's own ``dop853_coefficients`` arrays.  Every
-    weight is a complex constant w + 0j: a float weight would first try
+    nonzero entries of the ``_DOP853_*`` tableau.  Every weight is a
+    complex constant w + 0j: a float weight would first try
     ``float.__mul__``, which returns NotImplemented, and then form the
     same complex product with the same bits.  Each sum starts at 0j and
-    adds its terms in stage order, as a loop over the tableau would.  The
-    error weights touch only the 12 stages: their 13th entry, on
-    f(x + h, y_new), is zero.
+    adds its terms in stage order, as a loop over the tableau would.
     """
-    from scipy.integrate._ivp import dop853_coefficients as dop
-
     def names(prefix: str) -> str:
         return ", ".join(f"{prefix}{i}" for i in range(n))
 
-    def weighted(weights, stages: int, i: int) -> str:
+    def weighted(weights, i: int) -> str:
         return " + ".join(["0j"] + [f"{complex(w)!r} * k{j}_{i}"
-                                    for j, w in enumerate(weights[:stages]) if w])
+                                    for j, w in enumerate(weights) if w])
 
     lines = ["def step(rhs, x, h, y, f, tol):",
              f"    {names('y')}, = y",
              f"    {names('k0_')}, = f"]
-    for s in range(1, dop.N_STAGES):
-        args = ", ".join(f"y{i} + ({weighted(dop.A[s], s, i)}) * h" for i in range(n))
-        lines.append(f"    {names(f'k{s}_')}, = rhs(x + {float(dop.C[s])!r} * h, ({args},))")
+    for s in range(1, len(_DOP853_C)):
+        args = ", ".join(f"y{i} + ({weighted(_DOP853_A[s], i)}) * h" for i in range(n))
+        lines.append(f"    {names(f'k{s}_')}, = rhs(x + {_DOP853_C[s]!r} * h, ({args},))")
     for i in range(n):
-        lines += [f"    n{i} = y{i} + h * ({weighted(dop.B, dop.N_STAGES, i)})",
-                  f"    p{i} = {weighted(dop.E5, dop.N_STAGES, i)}",
-                  f"    q{i} = {weighted(dop.E3, dop.N_STAGES, i)}"]
+        lines += [f"    n{i} = y{i} + h * ({weighted(_DOP853_B, i)})",
+                  f"    p{i} = {weighted(_DOP853_E5, i)}",
+                  f"    q{i} = {weighted(_DOP853_E3, i)}"]
     lines.append("    err5 = err3 = 0.0")
     for i in range(n):
         lines += [f"    a = abs(y{i})",

@@ -1,21 +1,23 @@
 import argparse
+import copy
 import itertools
 import json
 import logging
 import math
 import os
+import random
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import pytest
+from jsonschema import Draft202012Validator
 
 import scatter1d
 from scatter1d import cli
 from scatter1d.cli import (EXIT_INCONSISTENT, EXIT_NUMERICAL, EXIT_OK,
-                           EXIT_SCHEMA, SCENARIO_SCHEMA, build_parser, main)
+                           EXIT_SCHEMA, build_parser, main)
 from scatter1d.invisibility import InvisibilityVerdict, Mechanism, VerdictKind
 from scatter1d.singularity import solve_integer_gamma
 
@@ -33,6 +35,102 @@ SCENARIOS = {
     "classify": {"potential": DESIGN_BLOCK, "analysis": {"type": "classify"}},
     "design": {"analysis": {"type": "design", "gamma": 2.0062, "side": "left",
                             "zero": "imaginary_pair"}},
+}
+
+
+# The JSON Schema that scenarios were validated against before the field
+# tables of scatter1d.cli replaced it, kept verbatim as their reference:
+# cli._check_scenario must accept exactly the documents it accepts.
+_POTENTIAL_COUPLING = {
+    "type": "object",
+    "properties": {
+        "coupling_re": {"type": "number"},
+        "coupling_im": {"type": "number"},
+        "m": {"type": "integer", "minimum": 1},
+        "L_um": {"type": "number", "exclusiveMinimum": 0},
+    },
+    "required": ["coupling_re", "coupling_im", "m", "L_um"],
+    "additionalProperties": False,
+}
+
+_POTENTIAL_EPS0 = {
+    "type": "object",
+    "properties": {
+        "eps0_re": {"type": "number"},
+        "eps0_im": {"type": "number"},
+        "m": {"type": "integer", "minimum": 1},
+        "L_um": {"type": "number", "exclusiveMinimum": 0},
+        "gamma": {"type": "number", "exclusiveMinimum": 0},
+    },
+    "required": ["eps0_re", "eps0_im", "m", "L_um", "gamma"],
+    "additionalProperties": False,
+}
+
+SCENARIO_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "potential": {"oneOf": [_POTENTIAL_COUPLING, _POTENTIAL_EPS0]},
+        "analysis": {
+            "type": "object",
+            "oneOf": [
+                {
+                    "properties": {
+                        "type": {"const": "sweep"},
+                        "lambda_min_nm": {"type": "number", "exclusiveMinimum": 0},
+                        "lambda_max_nm": {"type": "number", "exclusiveMinimum": 0},
+                        "samples": {"type": "integer", "minimum": 2},
+                    },
+                    "required": ["type", "lambda_min_nm", "lambda_max_nm", "samples"],
+                    "additionalProperties": False,
+                },
+                {
+                    "properties": {
+                        "type": {"const": "classify"},
+                        "gamma": {"type": "number", "exclusiveMinimum": 0},
+                    },
+                    "required": ["type"],
+                    "additionalProperties": False,
+                },
+                {
+                    "properties": {
+                        "type": {"const": "design"},
+                        "gamma": {"type": "number", "exclusiveMinimum": 0},
+                        "side": {"enum": ["left", "right"]},
+                        "zero": {
+                            "oneOf": [{"type": "integer", "minimum": 1},
+                                      {"const": "imaginary_pair"}],
+                        },
+                    },
+                    "required": ["type", "gamma", "side", "zero"],
+                    "additionalProperties": False,
+                },
+                {
+                    "properties": {
+                        "type": {"const": "singularity"},
+                        "mode": {"enum": ["integer", "general", "half_integer"]},
+                        "n": {"type": "integer", "minimum": 1},
+                        "m": {"type": "integer", "minimum": 1},
+                        "gamma": {"type": "number", "exclusiveMinimum": 0},
+                        "p": {"type": "integer", "minimum": 0},
+                        "seed_re": {"type": "number"},
+                        "seed_im": {"type": "number"},
+                    },
+                    "required": ["type", "mode"],
+                    "additionalProperties": False,
+                },
+            ],
+        },
+        "output": {
+            "type": "object",
+            "properties": {
+                "path": {"type": "string"},
+                "format": {"enum": ["csv", "json"]},
+            },
+            "additionalProperties": False,
+        },
+    },
+    "required": ["analysis"],
+    "additionalProperties": False,
 }
 
 
@@ -410,6 +508,160 @@ class TestScenarioErrors:
         assert "scenario error: classify needs gamma" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("where,value,message", [
+        ("potential", None, "potential: missing required key 'gamma'"),
+        ("analysis.bogus", 1, "analysis: unexpected key 'bogus'"),
+        ("potential.m", True, "potential.m: true is not of type 'integer'"),
+        ("potential.m", 0, "potential.m: 0 is less than the minimum of 1"),
+        ("potential.L_um", -0.0,
+         "potential.L_um: -0.0 is less than or equal to the minimum of 0"),
+        ("output.format", "txt", 'output.format: "txt" is not one of ["csv", "json"]'),
+    ], ids=["missing", "unknown", "type", "minimum", "exclusive-minimum", "enum"])
+    def test_refusal_names_the_key_and_value(self, where, value, message, tmp_path,
+                                             capsys):
+        doc = copy.deepcopy({**SCENARIOS["classify"], "output": {"format": "json"}})
+        if value is None:
+            del doc["potential"]["gamma"]
+        else:
+            block, key = where.split(".")
+            doc[block][key] = value
+        assert main(["classify", "--scenario", write(tmp_path / "s.json", doc)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"scenario error: scenario failed schema validation: {message}\n")
+
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        # a UTF-16 file (byte-order mark ff fe): JSON text is UTF-8 (RFC 8259)
+        scen = tmp_path / "s.json"
+        scen.write_bytes(json.dumps(SCENARIOS["design"]).encode("utf-16"))
+        assert main(["design", "--scenario", str(scen)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: cannot read scenario {scen}: ")
+        assert "Traceback" not in err
+
+    def test_scenario_read_as_utf8(self, tmp_path):
+        out = tmp_path / "\u03bb.json"
+        scen = tmp_path / "s.json"
+        scen.write_bytes(json.dumps({**SCENARIOS["design"], "output": {"path": str(out)}},
+                                    ensure_ascii=False).encode("utf-8"))
+        assert main(["design", "--scenario", str(scen)]) == EXIT_OK
+        assert json.loads(out.read_text())["side"] == "left"
+
+
+# Scenarios from the README and CI (the Fig. 1 sweep, the weak slab), the
+# benchmark (an eps0 classify without gamma, a coupling sweep) and the
+# tests above: the bases that TestScenarioCheck mutates.
+MUTATION_BASES = [
+    {"potential": {"eps0_re": 1.006142617, "eps0_im": 0.0, "m": 243, "L_um": 260.0,
+                   "gamma": 2.0062},
+     "analysis": {"type": "sweep", "lambda_min_nm": 1050, "lambda_max_nm": 1080,
+                  "samples": 2000},
+     "output": {"path": "fig1.csv", "format": "csv"}},
+    {"potential": {"coupling_re": 0.01, "coupling_im": 0.0, "m": 1,
+                   "L_um": 3.141592653589793},
+     "analysis": {"type": "classify", "gamma": 4.7}},
+    {"potential": DESIGN_BLOCK, "analysis": {"type": "classify"}},
+    {"potential": {"coupling_re": 400.0, "coupling_im": 0.0, "m": 1,
+                   "L_um": 3.141592653589793},
+     "analysis": {"type": "sweep", "lambda_min_nm": 1256.6, "lambda_max_nm": 2094.4,
+                  "samples": 2000},
+     "output": {"path": "fixed.csv", "format": "csv"}},
+    {"analysis": {"type": "design", "gamma": 1.3, "side": "right", "zero": 1},
+     "output": {"path": "r.json"}},
+    {"analysis": {"type": "singularity", "mode": "general", "gamma": 0.5, "m": 2,
+                  "seed_re": 0.0, "seed_im": 1.0},
+     "output": {"path": "n.json", "format": "json"}},
+    {"analysis": {"type": "singularity", "mode": "integer", "n": 1, "m": 100}},
+    *SCENARIOS.values(),
+]
+MUTATION_VALUES = [
+    True, False, None, 0, 1, 2, -1, 2.0, -0.0, 0.0, 0.5, -2.5, 1e300,
+    "imaginary_pair", "left", "right", "csv", "json", "txt", "sweep", "classify",
+    "design", "singularity", "integer", "general", "half_integer", "", [], [1], {},
+    *(block for doc in MUTATION_BASES for block in doc.values()),
+]
+MUTATION_KEYS = sorted({key for doc in MUTATION_BASES for block in doc.values()
+                        for key in block} | {"potential", "analysis", "output", "bogus"})
+
+
+def mutated(rng: random.Random, edits: int) -> dict:
+    """A base scenario after ``edits`` edits of the scenario or one of its blocks.
+
+    An edit replaces a key's value, deletes a key or adds one, each value
+    drawn from ``MUTATION_VALUES`` (whole blocks included).  Only the
+    scenario and its blocks are edited, so copying them is enough.
+    """
+    doc = {key: dict(block) for key, block in rng.choice(MUTATION_BASES).items()}
+    for _ in range(edits):
+        node = rng.choice([doc] + [v for v in doc.values() if isinstance(v, dict)])
+        edit = rng.randrange(3)
+        if edit < 2 and node:
+            key = rng.choice(list(node))
+            if edit == 0:
+                node[key] = copy.copy(rng.choice(MUTATION_VALUES))
+            else:
+                del node[key]
+        else:
+            node[rng.choice(MUTATION_KEYS)] = copy.copy(rng.choice(MUTATION_VALUES))
+    return doc
+
+
+class TestScenarioCheck:
+    """``cli._check_scenario`` accepts exactly what ``SCENARIO_SCHEMA`` accepts."""
+
+    @staticmethod
+    def accepts(doc) -> bool:
+        try:
+            cli._check_scenario(doc)
+        except cli._SchemaError:
+            return False
+        return True
+
+    def test_accepts_exactly_what_the_reference_accepts(self):
+        # 20,000 seeded mutations; the reference judges each distinct
+        # document once (a verdict does not depend on the order of keys)
+        reference = Draft202012Validator(SCENARIO_SCHEMA)
+        rng = random.Random(20261022)
+        verdicts, valid, disagree = {}, 0, []
+        for _ in range(20_000):
+            doc = mutated(rng, rng.randint(1, 3))
+            text = json.dumps(doc, sort_keys=True)
+            if text not in verdicts:
+                verdicts[text] = reference.is_valid(doc)
+            valid += verdicts[text]
+            if self.accepts(doc) != verdicts[text]:
+                disagree.append(doc)
+        assert disagree == []
+        assert 1000 < valid < 19_000  # both sides of the format are exercised
+
+    @pytest.mark.parametrize("base,block,key,value,accepted", [
+        ("classify", "potential", "m", 2.0, True),
+        ("design", "analysis", "zero", 2.0, True),
+        ("singularity", "analysis", "p", -0.0, True),
+        ("classify", "potential", "m", True, False),
+        ("classify", "potential", "L_um", 0, False),
+        ("classify", "potential", "L_um", -0.0, False),
+        ("sweep", "analysis", "samples", 1, False),
+        ("design", "analysis", "zero", True, False),
+        ("design", "analysis", "zero", 0, False),
+        ("classify", "potential", "coupling_re", 0.0, False),
+        ("classify", "analysis", "type", None, False),
+        ("classify", "analysis", "type", "txt", False),
+        ("classify", "output", "format", "txt", False),
+        ("classify", "output", "format", "json", True),
+    ], ids=["m=2.0", "zero=2.0", "p=-0.0", "m=true", "L_um=0", "L_um=-0.0", "samples=1",
+            "zero=true", "zero=0", "coupling_re-with-eps0_re", "no-analysis-type",
+            "unknown-analysis-type", "format=txt", "format=json"])
+    def test_edge_cases(self, base, block, key, value, accepted):
+        doc = copy.deepcopy(SCENARIOS[base])
+        node = doc.setdefault(block, {})
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        assert Draft202012Validator(SCENARIO_SCHEMA).is_valid(doc) is accepted
+        assert self.accepts(doc) is accepted
+
+
 class TestValidate:
     def test_bessel_suite_passes(self, capsys):
         rc = main(["validate", "bessel"])
@@ -478,8 +730,7 @@ class TestParserReuse:
 
 class TestEntry:
     def test_scenario_schema_is_valid(self):
-        cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-        cls.check_schema(SCENARIO_SCHEMA)
+        Draft202012Validator.check_schema(SCENARIO_SCHEMA)
 
     def test_package_logger_has_null_handler(self):
         handlers = logging.getLogger("scatter1d").handlers
@@ -512,21 +763,33 @@ rc = main(sys.argv[1:])
 print(json.dumps({"rc": rc, "added": sorted(set(sys.modules) - before)}))
 """
 
+# The same for one library transfer_matrix call.
+_TRANSFER_PROBE = """
+import json, sys
+import numpy, scipy.special
+before = set(sys.modules)
+from scatter1d.potential import PotentialSpec
+from scatter1d.transfer import SampledPotential, transfer_matrix
+spec = PotentialSpec(coupling=0.3 + 0.1j, m=3, L=3.0)
+transfer_matrix(SampledPotential.from_spec(spec), k=1.3)
+print(json.dumps({"rc": 0, "added": sorted(set(sys.modules) - before)}))
+"""
+
 
 class TestDeferredImports:
-    """Commands on the closed forms load no scipy solver and, without a
-    scenario, no jsonschema."""
+    """Commands on the closed forms load no scipy solver, no command loads
+    jsonschema, and no evolution loads scipy.integrate."""
 
     @staticmethod
-    def added_modules(argv):
+    def added_modules(argv, probe=_MODULE_PROBE, module="scatter1d.cli"):
         env = dict(os.environ)
         src = str(Path(scatter1d.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
-        report = json.loads(proc.stdout)
+        report = json.loads(proc.stdout.splitlines()[-1])  # after the command's own output
         assert report["rc"] == EXIT_OK
-        assert "scatter1d.cli" in report["added"]
+        assert module in report["added"]
         return report["added"]
 
     @staticmethod
@@ -546,9 +809,23 @@ class TestDeferredImports:
         })
         added = self.added_modules(["classify", "--scenario", scenario, "--json",
                                     "--out", str(tmp_path / "verdict.json")])
-        assert self.loaded(added, ("scipy.integrate", "scipy.optimize")) == []
+        assert self.loaded(added, ("scipy.integrate", "scipy.optimize", "jsonschema")) == []
 
     def test_sweep(self, tmp_path):
         scenario = sweep_scenario(tmp_path, str(tmp_path / "sweep.csv"))
         added = self.added_modules(["sweep", "--scenario", scenario])
-        assert self.loaded(added, ("scipy.integrate", "scipy.optimize")) == []
+        assert self.loaded(added, ("scipy.integrate", "scipy.optimize", "jsonschema")) == []
+
+    def test_design_scenario(self, tmp_path):
+        scenario = write(tmp_path / "d.json", {**SCENARIOS["design"],
+                                               "output": {"path": str(tmp_path / "d.out")}})
+        added = self.added_modules(["design", "--scenario", scenario])
+        assert self.loaded(added, ("scipy.integrate", "jsonschema")) == []
+
+    def test_validate_transfer(self):
+        added = self.added_modules(["validate", "transfer"])
+        assert self.loaded(added, ("scipy.integrate", "jsonschema")) == []
+
+    def test_library_transfer_matrix(self):
+        added = self.added_modules([], _TRANSFER_PROBE, "scatter1d.transfer")
+        assert self.loaded(added, ("scipy.integrate",)) == []

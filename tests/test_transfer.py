@@ -534,6 +534,25 @@ class TestEvolveDriver:
             assert [x.hex() for x in xs] == [x.hex() for x in ref_x]
             assert state_bits(ys) == state_bits(ref_y)
 
+    def test_tableau_literals_equal_scipys_arrays(self):
+        # every literal the step is generated from is scipy's double, bit for
+        # bit, and the entries left out are scipy's zeros
+        from scipy.integrate._ivp import dop853_coefficients as dop
+        stages = dop.N_STAGES
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        assert bits(transfer._DOP853_C) == bits(dop.C[:stages])
+        assert len(transfer._DOP853_A) == stages and transfer._DOP853_A[0] == ()
+        for s in range(1, stages):
+            assert bits(transfer._DOP853_A[s]) == bits(dop.A[s, :s])
+            assert not dop.A[s, s:].any()
+        assert bits(transfer._DOP853_B) == bits(dop.B) == bits(dop.A[stages, :stages])
+        assert bits(transfer._DOP853_E5) == bits(dop.E5[:stages])
+        assert bits(transfer._DOP853_E3) == bits(dop.E3[:stages])
+        assert dop.E5[stages:].tolist() == dop.E3[stages:].tolist() == [0.0]
+
     # An overflowing cell is the documented ConvergenceError, with no
     # RuntimeWarning on the way (the suite turns warnings into errors).
     @pytest.mark.parametrize("value", [1e300 + 0j, 1e154 * (1 + 1j)])
